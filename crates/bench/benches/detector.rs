@@ -67,20 +67,20 @@ fn bench_batch(c: &mut Criterion) {
     group.bench_function("serial", |b| {
         b.iter(|| {
             serial.clear_cache();
-            serial.scan(&programs).len()
+            serial.scan_with_stats(&programs).0.len()
         });
     });
     let parallel = BatchEngine::new(Analyzer::new()); // jobs = available cores
     group.bench_function(format!("parallel-{}jobs", parallel.jobs()), |b| {
         b.iter(|| {
             parallel.clear_cache();
-            parallel.scan(&programs).len()
+            parallel.scan_with_stats(&programs).0.len()
         });
     });
     let cached = BatchEngine::new(Analyzer::new());
-    cached.scan(&programs);
+    cached.scan_with_stats(&programs);
     group.bench_function("cached", |b| {
-        b.iter(|| cached.scan(&programs).len());
+        b.iter(|| cached.scan_with_stats(&programs).0.len());
     });
     group.finish();
 }

@@ -40,31 +40,12 @@ use std::path::Path;
 use std::time::Instant;
 
 use pnew_corpus::workload;
+use pnew_detector::emit::json_string;
 use pnew_detector::server::{Server, ServerConfig};
 use pnew_detector::{
     pretty_program, source_fingerprint, Analyzer, AnalyzerConfig, BackendKind, BatchEngine,
     PersistentCache, ShardSpec,
 };
-
-/// A JSON string literal for embedding a source in an analyze request.
-fn json_str(text: &str) -> String {
-    let mut out = String::from("\"");
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Median wall-clock seconds of `runs` invocations of `f`.
 fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
@@ -81,7 +62,7 @@ fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
 
 /// Measures one incremental-edit scenario: writes `sources` under
 /// `dir`, takes a cold tracked scan, then alternates one file between
-/// its original text and `edited` and times the `rescan_delta` that
+/// its original text and `edited` and times the `delta_scan` that
 /// re-analyzes exactly that file — once with the edit named in the
 /// hint (the editor-integration fast path: no stat sweep) and once
 /// unhinted (the watch-mode stat sweep over every tracked file).
@@ -107,7 +88,7 @@ fn delta_scenario(
     let engine = BatchEngine::new(Analyzer::new());
     let cold_s = {
         let t = Instant::now();
-        let (outcomes, _) = engine.scan_paths_tracked(&paths);
+        let (outcomes, _, _) = engine.delta_scan(&paths, None, engine.jobs());
         assert_eq!(outcomes.len(), sources.len());
         t.elapsed().as_secs_f64()
     };
@@ -124,7 +105,7 @@ fn delta_scenario(
     let hinted_s = median_secs(runs.max(2), || {
         std::fs::write(&target, texts[flip % 2]).expect("edit writes");
         flip += 1;
-        let (_, _, delta) = engine.rescan_delta(&paths, Some(&hint));
+        let (_, _, delta) = engine.delta_scan(&paths, Some(&hint), engine.jobs());
         assert_eq!(delta.changed_files, 1, "exactly the edited file re-analyzes");
         assert_eq!(delta.unchanged_files, sources.len() - 1);
         cone = cone.max(delta.cone_functions);
@@ -132,7 +113,7 @@ fn delta_scenario(
     let sweep_s = median_secs(runs.max(2), || {
         std::fs::write(&target, texts[flip % 2]).expect("edit writes");
         flip += 1;
-        let (_, _, delta) = engine.rescan_delta(&paths, None);
+        let (_, _, delta) = engine.delta_scan(&paths, None, engine.jobs());
         assert_eq!(delta.changed_files, 1, "the stat sweep finds the edit");
     });
     let _ = std::fs::remove_dir_all(dir);
@@ -169,7 +150,7 @@ fn main() {
     let serial = BatchEngine::new(Analyzer::new()).with_jobs(1);
     let serial_s = median_secs(runs, || {
         serial.clear_cache();
-        serial.scan(&programs);
+        serial.scan_with_stats(&programs);
     });
     // Measure parallel throughput at the machine's detected
     // parallelism, and record it so runs on different hosts compare.
@@ -178,12 +159,12 @@ fn main() {
     let parallel_jobs = parallel.jobs();
     let parallel_s = median_secs(runs, || {
         parallel.clear_cache();
-        parallel.scan(&programs);
+        parallel.scan_with_stats(&programs);
     });
     let warm_mem = BatchEngine::new(Analyzer::new());
-    warm_mem.scan(&programs);
+    warm_mem.scan_with_stats(&programs);
     let warm_mem_s = median_secs(runs, || {
-        warm_mem.scan(&programs);
+        warm_mem.scan_with_stats(&programs);
     });
 
     // Disk tier: cold populate vs warm rescan. The warm engine drops its
@@ -213,7 +194,7 @@ fn main() {
     let server = Server::new(ServerConfig::default()).expect("server builds");
     let requests: Vec<String> = sources
         .iter()
-        .map(|s| format!("{{\"op\":\"analyze\",\"source\":{}}}", json_str(s)))
+        .map(|s| format!("{{\"op\":\"analyze\",\"source\":{}}}", json_string(s)))
         .collect();
     for request in &requests {
         server.handle_line(request); // warm every source
@@ -276,7 +257,7 @@ fn main() {
     let interval_engine = BatchEngine::new(Analyzer::new()).with_jobs(1);
     let interval_s = median_secs(runs, || {
         interval_engine.clear_cache();
-        interval_engine.scan(&guarded);
+        interval_engine.scan_with_stats(&guarded);
     });
 
     // Interprocedural: summary vs inline over the deep call graphs.
@@ -337,7 +318,7 @@ fn main() {
     // every other summary from the old record; the baseline engine
     // (granularity off) re-analyzes the whole file — the
     // pre-function-granular `--delta` cost for the same edit. Knobs
-    // advance every round so no source-fingerprint tier can serve the
+    // advance every round so no in-memory store entry can serve the
     // edit from memory, and all texts are pre-rendered so the timed
     // region pays exactly write + rescan.
     let wide_fns = workload::WIDE_FUNCTIONS;
@@ -356,13 +337,14 @@ fn main() {
     let mut flip = 0usize;
 
     let granular = BatchEngine::new(Analyzer::new());
-    granular.scan_paths_tracked(&wide_paths);
+    granular.delta_scan(&wide_paths, None, granular.jobs());
     let mut fn_cone = 0usize;
     let mut fn_reused = 0usize;
     let fn_edit_s = median_secs(fn_runs, || {
         flip += 1;
         std::fs::write(&wide_path, &wide_texts[flip]).expect("edit writes");
-        let (_, _, delta) = granular.rescan_delta(&wide_paths, Some(wide_paths.as_slice()));
+        let (_, _, delta) =
+            granular.delta_scan(&wide_paths, Some(wide_paths.as_slice()), granular.jobs());
         assert_eq!(delta.changed_files, 1, "exactly the wide file re-analyzes");
         assert_eq!(delta.functions_reanalyzed, 1, "the cone is the one edited function");
         fn_cone = delta.functions_reanalyzed;
@@ -371,11 +353,12 @@ fn main() {
     assert_eq!(fn_reused, wide_fns - 1, "every untouched function's summary is reused");
 
     let baseline = BatchEngine::new(Analyzer::new()).with_function_granularity(false);
-    baseline.scan_paths_tracked(&wide_paths);
+    baseline.delta_scan(&wide_paths, None, baseline.jobs());
     let fn_baseline_s = median_secs(fn_runs, || {
         flip += 1;
         std::fs::write(&wide_path, &wide_texts[flip]).expect("edit writes");
-        let (_, _, delta) = baseline.rescan_delta(&wide_paths, Some(wide_paths.as_slice()));
+        let (_, _, delta) =
+            baseline.delta_scan(&wide_paths, Some(wide_paths.as_slice()), baseline.jobs());
         assert_eq!(delta.changed_files, 1, "exactly the wide file re-analyzes");
         assert_eq!(delta.functions_reanalyzed, wide_fns, "granularity off re-analyzes everything");
     });
@@ -405,7 +388,7 @@ fn main() {
     let mut round = 0usize;
 
     let fnhub_granular = BatchEngine::new(Analyzer::new());
-    fnhub_granular.scan_paths_tracked(&fnhub_paths);
+    fnhub_granular.delta_scan(&fnhub_paths, None, fnhub_granular.jobs());
     let per_file = workload::HUB_HELPERS + workload::HUB_WORKERS;
     let cone_per_file = 1 + workload::HUB_WORKERS / 2;
     let mut fnhub_reanalyzed = 0usize;
@@ -413,7 +396,7 @@ fn main() {
     let fnhub_edit_s = median_secs(fn_runs, || {
         round += 1;
         write_round(&fnhub_rounds[round]);
-        let (_, _, delta) = fnhub_granular.rescan_delta(&fnhub_paths, None);
+        let (_, _, delta) = fnhub_granular.delta_scan(&fnhub_paths, None, fnhub_granular.jobs());
         assert_eq!(delta.changed_files, fnhub_files, "the hub edit touches every file");
         assert_eq!(
             delta.functions_reanalyzed,
@@ -426,11 +409,11 @@ fn main() {
     assert_eq!(fnhub_reused, (per_file - cone_per_file) * fnhub_files);
 
     let fnhub_baseline = BatchEngine::new(Analyzer::new()).with_function_granularity(false);
-    fnhub_baseline.scan_paths_tracked(&fnhub_paths);
+    fnhub_baseline.delta_scan(&fnhub_paths, None, fnhub_baseline.jobs());
     let fnhub_baseline_s = median_secs(fn_runs, || {
         round += 1;
         write_round(&fnhub_rounds[round]);
-        let (_, _, delta) = fnhub_baseline.rescan_delta(&fnhub_paths, None);
+        let (_, _, delta) = fnhub_baseline.delta_scan(&fnhub_paths, None, fnhub_baseline.jobs());
         assert_eq!(delta.changed_files, fnhub_files, "the hub edit touches every file");
     });
     let _ = std::fs::remove_dir_all(&fnhub_dir);

@@ -471,40 +471,14 @@ impl Analyzer {
         self.analyze_impl(program, None, None).report
     }
 
-    /// [`analyze`](Self::analyze), also returning the per-function
-    /// summary digests (one [`FunctionSummaryRecord`] per function, in
-    /// definition order) that the persistent batch cache stores next to
-    /// the findings. Empty in inline (`use_summaries = false`) mode.
-    pub fn analyze_with_summaries(
-        &self,
-        program: &Program,
-    ) -> (Report, Vec<FunctionSummaryRecord>) {
-        let full = self.analyze_impl(program, None, None);
-        (full.report, full.summaries)
-    }
-
-    /// [`analyze`](Self::analyze), recording per-pass timings
-    /// (`analysis.index`, `analysis.walk`) and counters (programs,
-    /// functions, summaries computed/applied, findings per kind) into
-    /// `trace`.
-    pub fn analyze_traced(&self, program: &Program, trace: &TraceCollector) -> Report {
-        self.analyze_impl(program, Some(trace), None).report
-    }
-
-    /// [`analyze_with_summaries`](Self::analyze_with_summaries) with
-    /// tracing.
-    pub fn analyze_traced_with_summaries(
-        &self,
-        program: &Program,
-        trace: &TraceCollector,
-    ) -> (Report, Vec<FunctionSummaryRecord>) {
-        let full = self.analyze_impl(program, Some(trace), None);
-        (full.report, full.summaries)
-    }
-
     /// The full analysis product the persistent cache stores: the
-    /// filtered report, the per-function summary records, and the
-    /// finding pool the records' `finding_ids` index. `store` taps the
+    /// filtered report, the per-function summary records (one per
+    /// function, in definition order; empty in inline
+    /// `use_summaries = false` mode), and the finding pool the records'
+    /// `finding_ids` index. With `trace`, per-pass timings
+    /// (`analysis.index`, `analysis.walk`) and counters (programs,
+    /// functions, summaries computed/applied, findings per kind) are
+    /// recorded into it. `store` taps the
     /// cross-file [`SummaryStore`]: functions whose closure fingerprint
     /// hits the store replay the stored entry summary instead of being
     /// re-walked, and fresh summaries are published back.
@@ -584,6 +558,7 @@ impl Analyzer {
                 rev[j].push(fi);
             }
         }
+        let functions_changed = changed.iter().filter(|&&c| c).count() as u32;
         let mut cone = changed;
         let mut work: Vec<usize> = (0..n).filter(|&i| cone[i]).collect();
         while let Some(j) = work.pop() {
@@ -682,7 +657,12 @@ impl Analyzer {
                 program.name
             );
         }
-        Some(PartialAnalysis { analysis, functions_reanalyzed, functions_reused })
+        Some(PartialAnalysis {
+            analysis,
+            functions_changed,
+            functions_reanalyzed,
+            functions_reused,
+        })
     }
 
     fn analyze_impl(
@@ -1514,7 +1494,11 @@ const WIDEN_AFTER: u32 = 2;
 pub struct PartialAnalysis {
     /// The (byte-identical-to-fresh) analysis of the edited file.
     pub analysis: CachedAnalysis,
-    /// Functions inside the invalidation cone, re-walked.
+    /// Functions whose own content changed: a moved fingerprint, a new
+    /// function, or a caller of a deleted one.
+    pub functions_changed: u32,
+    /// Functions inside the invalidation cone (the changed set plus its
+    /// transitive callers over the new call graph), re-walked.
     pub functions_reanalyzed: u32,
     /// Functions hydrated from the old record without re-analysis.
     pub functions_reused: u32,
@@ -2227,7 +2211,7 @@ mod tests {
         let program = p.build();
         assert_modes_agree(&program);
         let trace = TraceCollector::new();
-        Analyzer::new().analyze_traced(&program, &trace);
+        Analyzer::new().analyze_full(&program, Some(&trace), None);
         let snap = trace.snapshot();
         // 2 entry summaries + 1 distinct call context.
         assert_eq!(snap.counters["analysis.summaries-computed"], 3);

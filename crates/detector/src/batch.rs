@@ -1,27 +1,34 @@
 //! Parallel, cache-aware batch analysis.
 //!
-//! [`BatchEngine`] scans many [`Program`]s concurrently on a pool of
-//! scoped worker threads (`std::thread::scope` over a shared atomic
+//! [`BatchEngine`] scans many inputs concurrently on a pool of scoped
+//! worker threads (`std::thread::scope` over a shared atomic
 //! work-queue cursor — no extra runtime dependencies) and returns one
-//! [`Report`] per input, **in input order**, regardless of how many
+//! result per input, **in input order**, regardless of how many
 //! workers ran or how the queue interleaved.
 //!
-//! Results are memoized behind a content-fingerprint cache: the key is a
-//! stable FNV-1a hash of the program's canonical pretty-printed form
-//! (which round-trips through the parser, so equal programs — even ones
-//! built independently — hash equally, and any semantic difference
-//! changes the key). A second scan of an unchanged corpus is pure cache
-//! hits.
+//! Results are memoized in **one** content-addressed in-memory store of
+//! shared [`Arc<CachedAnalysis>`] entries, under two key kinds that can
+//! never answer for each other:
 //!
-//! Source-text scans ([`BatchEngine::scan_sources_with_stats`]) add a
-//! second in-memory tier keyed on a fingerprint of the **raw source
-//! bytes**: a warm re-scan of unchanged text skips the parser as well as
-//! the analyzer, which is what keeps a resident `pncheckd` serving
-//! repeat requests without re-parsing anything. With
+//! * **source keys** — [`source_fingerprint`] of the raw text, used by
+//!   [`BatchEngine::scan_sources_with_stats`] and
+//!   [`BatchEngine::delta_scan`]. A warm hit skips the parser as well
+//!   as the analyzer, which is what keeps a resident `pncheckd` serving
+//!   repeat requests without re-parsing anything. Findings carry spans
+//!   taken from the text, so only the identical text may share an
+//!   entry: two texts that differ only in layout still get one entry
+//!   each, with their own spans.
+//! * **program keys** — [`fingerprint`] of the canonical pretty form,
+//!   used by [`BatchEngine::scan_with_stats`] for builder programs,
+//!   which carry no spans. Equal programs built independently share an
+//!   entry.
+//!
+//! A hit hands out the `Arc`; no path deep-copies a stored analysis,
+//! and the delta tracked index holds the same allocation. With
 //! [`BatchEngine::with_persistent_cache`], an *on-disk* tier under the
-//! same key extends that across process restarts. Corrupt or stale disk
-//! entries degrade to a normal analysis (and get rewritten), never to an
-//! error.
+//! source key extends the store across process restarts. Corrupt or
+//! stale disk entries degrade to a normal analysis (and get rewritten),
+//! never to an error.
 //!
 //! ```
 //! use pnew_detector::{Analyzer, BatchEngine, Expr, ProgramBuilder, Ty};
@@ -47,7 +54,7 @@
 //! assert_eq!(stats.cache_hits, 1);
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -57,15 +64,18 @@ use std::time::Duration;
 use crate::analysis::Analyzer;
 use crate::cache::{fnv128, source_fingerprint, CacheLookup, CachedAnalysis, PersistentCache};
 use crate::clock::{Clock, SystemClock};
-use crate::delta::{invalidation_cone, parse_manifest, render_manifest, ManifestRow};
-use crate::findings::{Finding, Report};
+use crate::delta::{parse_manifest, render_manifest, ManifestRow};
+use crate::findings::Report;
 use crate::ir::Program;
 use crate::parse::{parse_program_recovering, ParseError};
 use crate::pretty::pretty;
-use crate::summary::{FunctionSummaryRecord, SummaryStore};
+use crate::summary::SummaryStore;
 use crate::trace::TraceCollector;
 
-/// Stable content fingerprint of a program.
+/// Stable content fingerprint of a program — the store key of
+/// [`BatchEngine::scan_with_stats`]. Source-text scans never use it:
+/// the pretty form drops spans, so it cannot tell two layouts of the
+/// same text apart.
 ///
 /// 128-bit FNV-1a over the canonical pretty-printed text. The pretty
 /// form sorts classes, includes the program name, and round-trips
@@ -86,7 +96,7 @@ pub struct BatchStats {
     pub programs: usize,
     /// Total findings across all reports.
     pub findings: usize,
-    /// Reports served from the fingerprint cache.
+    /// Reports served from the in-memory store.
     pub cache_hits: u64,
     /// Reports that required a fresh analysis.
     pub cache_misses: u64,
@@ -95,9 +105,9 @@ pub struct BatchStats {
     /// Worker threads used.
     pub jobs: usize,
     /// Source texts that actually went through the parser during this
-    /// scan. A fully warm scan — every input served from the source
-    /// fingerprint tier or the disk tier — runs zero parses. Always 0
-    /// for program-based scans, which never parse.
+    /// scan. A fully warm scan — every input served from the in-memory
+    /// store or the disk tier — runs zero parses. Always 0 for
+    /// program-based scans, which never parse.
     pub parses: u64,
     /// Files served whole from the on-disk cache (no parse, no
     /// analysis). Always 0 without a persistent cache.
@@ -141,17 +151,17 @@ impl BatchStats {
 /// reader racing live requests can never observe a torn pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Scans answered from either in-memory fingerprint tier (program
-    /// or source) since construction.
+    /// Scans answered from the in-memory store since construction.
     pub hits: u64,
     /// Scans that ran the analyzer since construction.
     pub misses: u64,
-    /// Fingerprint-tier probes since construction — always exactly
-    /// `hits + misses` within one snapshot.
+    /// Store lookups that ended in a hit or an analysis since
+    /// construction — always exactly `hits + misses` within one
+    /// snapshot.
     pub lookups: u64,
-    /// Reports currently cached in the program-fingerprint tier.
+    /// Store entries under a program key (builder-program scans).
     pub entries: usize,
-    /// Outcomes currently cached in the source-fingerprint tier.
+    /// Store entries under a source key (source-text and delta scans).
     pub source_entries: usize,
     /// Source texts parsed since construction.
     pub parses: u64,
@@ -178,7 +188,7 @@ impl ShardSpec {
 /// The engine's live hit/miss/parse counters, mutated and snapshotted
 /// under one mutex so readers never see a half-updated set (the
 /// `pncheckd-stats/1` torn-pair bug: `hits + misses != lookups`).
-/// The hot path already takes the cache-map mutexes, so the extra
+/// The hot path already takes the store mutex, so the extra
 /// uncontended lock is noise next to a parse or an analysis.
 #[derive(Debug, Clone, Copy, Default)]
 struct EngineCounters {
@@ -186,6 +196,24 @@ struct EngineCounters {
     misses: u64,
     lookups: u64,
     parses: u64,
+}
+
+/// Counter readings taken when a scan starts, for its per-scan stats.
+struct ScanStart {
+    ns: u64,
+    counters: EngineCounters,
+    persistent: (u64, u64, u64, u64),
+}
+
+/// A key of the in-memory store. The two kinds are separate key
+/// spaces: a parsed text and a builder program never share an entry,
+/// even when the text equals the program's pretty form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Key {
+    /// [`source_fingerprint`] of the raw text.
+    Source(u128),
+    /// [`fingerprint`] of a builder program.
+    Program(u128),
 }
 
 /// What scanning one source text produced.
@@ -196,25 +224,47 @@ struct EngineCounters {
 pub struct SourceOutcome {
     /// The analysis report; `None` when the source failed to parse.
     pub report: Option<Report>,
-    /// Per-function summary digests (empty for parse failures and for
-    /// analyzers running with summaries disabled).
-    pub summaries: Vec<FunctionSummaryRecord>,
-    /// The file-level finding pool the summaries' `finding_ids` index
-    /// into — the raw material a later function-granular partial
-    /// re-analysis hydrates unchanged functions from. Empty when the
-    /// analyzer ran without summaries.
-    pub finding_pool: Vec<Finding>,
     /// Parse errors, when the source did not parse.
     pub errors: Vec<ParseError>,
     /// The report came straight from the on-disk cache: neither the
     /// parser nor the analyzer ran for this file.
     pub from_disk_cache: bool,
-    /// The report came from the in-memory source-fingerprint tier:
-    /// neither the parser nor the analyzer ran for this file.
+    /// The report came from the in-memory store: neither the parser
+    /// nor the analyzer ran for this file.
     pub from_source_cache: bool,
     /// An on-disk entry existed but was corrupt; the file was
     /// re-analyzed from source and the entry rewritten.
     pub cache_corrupt: bool,
+}
+
+/// One source text's trip through the tiers, before it is shaped into
+/// a [`SourceOutcome`] or a [`TrackedOutcome`].
+#[derive(Default)]
+struct Analyzed {
+    /// `None` when the text did not parse.
+    analysis: Option<Arc<CachedAnalysis>>,
+    errors: Vec<ParseError>,
+    from_disk_cache: bool,
+    from_source_cache: bool,
+    cache_corrupt: bool,
+    /// Functions changed, re-walked and hydrated, as [`DeltaStats`]
+    /// counts them.
+    functions_changed: usize,
+    functions_reanalyzed: usize,
+    functions_reused: usize,
+}
+
+impl Analyzed {
+    /// A tier hit: every function reused, none walked.
+    fn served(analysis: Arc<CachedAnalysis>, from_disk_cache: bool) -> Self {
+        Analyzed {
+            functions_reused: analysis.summaries.len(),
+            analysis: Some(analysis),
+            from_disk_cache,
+            from_source_cache: !from_disk_cache,
+            ..Analyzed::default()
+        }
+    }
 }
 
 /// What the engine remembers about one scanned path between delta
@@ -234,8 +284,7 @@ struct TrackedFile {
 }
 
 /// What scanning one tracked path produced. Returned by
-/// [`BatchEngine::scan_paths_tracked`] and
-/// [`BatchEngine::rescan_delta`], one per input path, in input order.
+/// [`BatchEngine::delta_scan`], one per input path, in input order.
 ///
 /// The analysis is behind an [`Arc`]: a delta rescan serves thousands
 /// of unchanged files per millisecond precisely because "serving" is a
@@ -269,7 +318,33 @@ pub struct TrackedOutcome {
     pub functions_reused: usize,
 }
 
-/// Invalidation accounting for one [`BatchEngine::rescan_delta`] run.
+impl TrackedOutcome {
+    /// An outcome served from the tracked index without a read.
+    fn unchanged(
+        path: &str,
+        analysis: Option<Arc<CachedAnalysis>>,
+        errors: Vec<ParseError>,
+    ) -> Self {
+        TrackedOutcome {
+            path: path.to_owned(),
+            analysis,
+            errors,
+            read_error: None,
+            reanalyzed: false,
+            cache_corrupt: false,
+            functions_reanalyzed: 0,
+            functions_reused: 0,
+        }
+    }
+}
+
+/// Invalidation accounting for one [`BatchEngine::delta_scan`] run.
+///
+/// The function counts come from the analysis that actually ran on each
+/// re-analyzed file, with no second cone pass: a function-granular
+/// partial analysis reports its own changed set and cone; a whole-file
+/// analysis counts every function as changed and in the cone; a tier
+/// hit (content some cache tier already knew) counts zero for both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeltaStats {
     /// Paths tracked after the rescan.
@@ -284,13 +359,16 @@ pub struct DeltaStats {
     /// Paths served from the tracked index (or the disk tier) with zero
     /// parses and zero analysis.
     pub unchanged_files: usize,
+    /// Tracked-index rows seeded from the persistent cache's manifest
+    /// (nonzero only on an engine's first delta scan).
+    pub seeded_files: usize,
     /// Functions whose own content changed, summed over re-analyzed
-    /// files.
+    /// files: functions whose fingerprint moved, new functions, and
+    /// callers of deleted functions.
     pub changed_functions: usize,
-    /// Functions invalidated (changed plus transitive callers), summed
-    /// over re-analyzed files. For a file with no prior in-memory
-    /// summaries (first sight, or manifest-seeded), every function
-    /// counts as changed.
+    /// Functions invalidated — the changed set plus its transitive
+    /// callers — summed over re-analyzed files. Always equal to
+    /// `functions_reanalyzed`.
     pub cone_functions: usize,
     /// Functions known across the whole tracked index after the rescan
     /// — the corpus-wide denominator for `cone_functions`. Files whose
@@ -311,17 +389,21 @@ pub struct DeltaStats {
     /// never re-read and its fingerprint never recomputed. Always 0 in
     /// hinted mode, which skips the stat sweep wholesale.
     pub stat_fastpath_hits: usize,
+    /// The manifest could not be written back to the persistent cache,
+    /// so the next process rescans cold.
+    pub manifest_save_failed: bool,
 }
 
-/// A parallel batch scanner with a content-fingerprint report cache.
+/// A parallel batch scanner with a content-addressed analysis store.
 ///
 /// See the [module docs](self) for the concurrency and caching model.
 #[derive(Debug)]
 pub struct BatchEngine {
     analyzer: Analyzer,
     jobs: usize,
-    cache: Mutex<HashMap<u128, CachedAnalysis>>,
-    source_cache: Mutex<HashMap<u128, CachedAnalysis>>,
+    /// The in-memory tier: every resident analysis, shared by reference
+    /// with the tracked index.
+    analyses: Mutex<HashMap<Key, Arc<CachedAnalysis>>>,
     counters: Mutex<EngineCounters>,
     trace: Option<Arc<TraceCollector>>,
     persistent: Option<PersistentCache>,
@@ -337,9 +419,8 @@ pub struct BatchEngine {
     /// behavior, kept as the benchmark baseline.
     function_granularity: bool,
     /// Serializes whole delta operations (seed + rescan + manifest and
-    /// store persistence) against each other and against tracked full
-    /// scans, so no request ever snapshots a half-updated tracked
-    /// index.
+    /// store persistence) against each other, so no request ever
+    /// snapshots a half-updated tracked index.
     delta_gate: Mutex<()>,
     /// Lifetime sums of the per-rescan `functions_reanalyzed` /
     /// `functions_reused` counters, for daemon stats.
@@ -365,8 +446,7 @@ impl BatchEngine {
         BatchEngine {
             analyzer,
             jobs,
-            cache: Mutex::new(HashMap::new()),
-            source_cache: Mutex::new(HashMap::new()),
+            analyses: Mutex::new(HashMap::new()),
             counters: Mutex::new(EngineCounters::default()),
             trace: None,
             persistent: None,
@@ -405,20 +485,19 @@ impl BatchEngine {
         self
     }
 
-    /// Adds the on-disk tier: [`scan_sources_with_stats`]
-    /// (Self::scan_sources_with_stats) will probe (and populate) `cache`
-    /// before parsing anything. The cache must have been opened against
-    /// this engine's analyzer configuration.
+    /// Adds the on-disk tier: source-text and delta scans probe (and
+    /// populate) `cache` before parsing anything. The cache must have
+    /// been opened against this engine's analyzer configuration.
     #[must_use]
     pub fn with_persistent_cache(mut self, cache: PersistentCache) -> Self {
         self.persistent = Some(cache);
         self
     }
 
-    /// Restricts the warm tiers (source fingerprint, on-disk, program
-    /// memo) to the keys this replica owns: an unowned source still
-    /// analyzes correctly, but takes the full uncached path and leaves
-    /// no warm state behind, so N sharded replicas split the
+    /// Restricts the warm tiers (in-memory store, on-disk cache,
+    /// summary store) to the keys this replica owns: an unowned source
+    /// still analyzes correctly, but takes the full uncached path and
+    /// leaves no warm state behind, so N sharded replicas split the
     /// fingerprint space instead of each holding all of it. The
     /// tracked/delta index is deliberately unsharded — change
     /// detection is stat-based and cheap, and delta correctness must
@@ -436,11 +515,6 @@ impl BatchEngine {
     pub fn with_function_granularity(mut self, on: bool) -> Self {
         self.function_granularity = on;
         self
-    }
-
-    /// The shard slice this engine serves, if any.
-    pub fn shard(&self) -> Option<ShardSpec> {
-        self.shard
     }
 
     /// The cross-file summary store shared by this engine's scans.
@@ -467,26 +541,16 @@ impl BatchEngine {
         self.jobs
     }
 
-    /// The analyzer driving each scan.
-    pub fn analyzer(&self) -> &Analyzer {
-        &self.analyzer
-    }
-
-    /// Scans every program, returning reports in input order.
+    /// Scans every program, returning reports in input order, plus
+    /// throughput and cache counters for the run.
     ///
     /// The order and content of the reports are independent of the
     /// worker count: workers pull indices from a shared cursor but write
     /// into the slot of the program they took, and each program's
     /// analysis is deterministic.
-    pub fn scan(&self, programs: &[Program]) -> Vec<Report> {
-        self.scan_with_stats(programs).0
-    }
-
-    /// [`scan`](Self::scan), plus throughput and cache counters for the
-    /// run.
     pub fn scan_with_stats(&self, programs: &[Program]) -> (Vec<Report>, BatchStats) {
-        let (reports, stats) =
-            self.run_queue(programs, self.jobs, |program| self.analyze_cached(program).report);
+        let (reports, stats) = self
+            .run_queue(programs, self.jobs, |program| self.analyze_program(program).report.clone());
         let findings = reports.iter().map(|r| r.findings.len()).sum();
         (reports, BatchStats { findings, ..stats })
     }
@@ -494,11 +558,11 @@ impl BatchEngine {
     /// Scans raw source texts through every cache tier, returning one
     /// [`SourceOutcome`] per input, in input order.
     ///
-    /// Per file: probe the in-memory source-fingerprint tier (hit →
+    /// Per file: probe the in-memory store under the source key (hit →
     /// done, no parse); probe the on-disk cache (hit → done, no parse);
-    /// parse; analyze through the program-fingerprint tier; write the
-    /// entry back to the source tier and to disk. Parse failures are
-    /// reported in the outcome and never cached.
+    /// parse and analyze; write the entry back to the store and to
+    /// disk. Parse failures are reported in the outcome and never
+    /// cached.
     pub fn scan_sources_with_stats<S: AsRef<str> + Sync>(
         &self,
         sources: &[S],
@@ -515,8 +579,17 @@ impl BatchEngine {
         sources: &[S],
         jobs: usize,
     ) -> (Vec<SourceOutcome>, BatchStats) {
-        let (outcomes, stats) =
-            self.run_queue(sources, jobs, |source| self.analyze_source(source.as_ref()));
+        let (outcomes, stats) = self.run_queue(sources, jobs, |source| {
+            let source = source.as_ref();
+            let out = self.analyze_source(source, source_fingerprint(source), None);
+            SourceOutcome {
+                report: out.analysis.map(|a| a.report.clone()),
+                errors: out.errors,
+                from_disk_cache: out.from_disk_cache,
+                from_source_cache: out.from_source_cache,
+                cache_corrupt: out.cache_corrupt,
+            }
+        });
         // `programs` counts inputs that produced a report — parse
         // failures are files, not programs — matching the program-based
         // scan, whose batch only ever contains parsed programs.
@@ -526,40 +599,24 @@ impl BatchEngine {
         (outcomes, BatchStats { programs, findings, ..stats })
     }
 
-    /// Scans files **by path**, registering each in the tracked index
-    /// that [`rescan_delta`](Self::rescan_delta) consults. One
-    /// [`TrackedOutcome`] per path, in input order; unreadable files
-    /// get a `read_error` outcome instead of failing the scan.
+    /// Scans files **by path**, incrementally, against the engine's
+    /// tracked index: files whose `stat` (length + mtime) matches their
+    /// tracked state are served from the index — zero reads, zero
+    /// parses, zero analysis — and only drifted, hinted, added, or
+    /// cache-degraded files go back through the pipeline, each
+    /// re-walking only its invalidation cone. Outcomes come back in
+    /// input order and are **byte-identical** to a cold full scan of
+    /// the same tree; unreadable files get a `read_error` outcome
+    /// instead of failing the scan. On a cold engine every path is
+    /// added, so the first call is the full scan that builds the index.
     ///
-    /// This is the cold half of the incremental pair: it pays the full
-    /// read+parse+analyze cost (modulo the ordinary cache tiers) and
-    /// records each file's length, mtime, and source key so a later
-    /// delta rescan can classify "unchanged" from a bare `stat`.
-    pub fn scan_paths_tracked(&self, paths: &[String]) -> (Vec<TrackedOutcome>, BatchStats) {
-        // The gate keeps a concurrent delta request from snapshotting
-        // the tracked index while this scan is half-way through
-        // updating it.
-        let _gate = self.delta_gate.lock().expect("delta gate poisoned");
-        let (outcomes, stats) = self.run_queue(paths, self.jobs, |path| self.read_and_track(path));
-        let programs = outcomes.iter().filter(|o| o.analysis.is_some()).count();
-        let findings = outcomes
-            .iter()
-            .filter_map(|o| o.analysis.as_ref())
-            .map(|a| a.report.findings.len())
-            .sum();
-        (outcomes, BatchStats { programs, findings, ..stats })
-    }
-
-    /// Re-scans `paths` incrementally against the tracked index: files
-    /// whose `stat` (length + mtime) matches their tracked state are
-    /// served from the index — zero reads, zero parses, zero analysis —
-    /// and only drifted, hinted, added, or cache-degraded files go back
-    /// through the full pipeline. Outcomes come back in input order and
-    /// are **byte-identical** to a cold full scan of the same tree: a
-    /// changed file is always re-analyzed whole (function-grain reuse
-    /// would shift spans), so the per-function invalidation cone from
-    /// [`invalidation_cone`](crate::delta::invalidation_cone) feeds the
-    /// returned [`DeltaStats`], not the verdicts.
+    /// The whole operation runs under the engine's delta gate: seed the
+    /// tracked index and the summary store from the persistent cache if
+    /// this is the engine's first delta, rescan, then persist the
+    /// manifest and the store for the next process. The gate is what
+    /// keeps one request on a shared engine (the daemon) from
+    /// snapshotting the manifest while another is half-way through
+    /// updating the tracked index.
     ///
     /// `changed_hint` selects the change-detection mode. `None` — the
     /// watch/poll mode — stats every tracked file and re-analyzes
@@ -574,37 +631,38 @@ impl BatchEngine {
     /// is expected to be duplicate-free (what
     /// [`expand_inputs`](crate::cliopts::expand_inputs) produces);
     /// duplicates cost extra re-analysis and can delay the removal
-    /// sweep by one rescan.
-    pub fn rescan_delta(
-        &self,
-        paths: &[String],
-        changed_hint: Option<&[String]>,
-    ) -> (Vec<TrackedOutcome>, BatchStats, DeltaStats) {
-        self.rescan_delta_jobs(paths, changed_hint, self.jobs)
-    }
-
-    /// [`rescan_delta`](Self::rescan_delta) with an explicit worker
-    /// count for the re-analysis queue — the daemon's `delta` op uses
-    /// this to honor a per-request `jobs` without rebuilding the engine.
-    pub fn rescan_delta_jobs(
+    /// sweep by one rescan. `jobs` sizes the re-analysis queue for this
+    /// call only.
+    pub fn delta_scan(
         &self,
         paths: &[String],
         changed_hint: Option<&[String]>,
         jobs: usize,
     ) -> (Vec<TrackedOutcome>, BatchStats, DeltaStats) {
-        use std::collections::HashSet;
+        let _gate = self.delta_gate.lock().expect("delta gate poisoned");
+        let seeded = if self.tracked_files() == 0 { self.seed_tracked_from_manifest() } else { 0 };
+        self.load_summary_store();
+        let (outcomes, stats, mut delta) = self.rescan(paths, changed_hint, jobs);
+        delta.seeded_files = seeded;
+        delta.manifest_save_failed = !self.save_tracked_manifest();
+        self.save_summary_store();
+        (outcomes, stats, delta)
+    }
 
-        let start_ns = self.clock.now_ns();
-        let before = self.counters_snapshot();
-        let persistent_before = self.persistent_snapshot();
-
+    /// The body of [`delta_scan`](Self::delta_scan), under its gate.
+    fn rescan(
+        &self,
+        paths: &[String],
+        changed_hint: Option<&[String]>,
+        jobs: usize,
+    ) -> (Vec<TrackedOutcome>, BatchStats, DeltaStats) {
+        let start = self.scan_start();
         let hint: Option<HashSet<&str>> =
             changed_hint.map(|c| c.iter().map(String::as_str).collect());
         let mut delta = DeltaStats::default();
         let mut slots: Vec<Option<TrackedOutcome>> = (0..paths.len()).map(|_| None).collect();
-        // (input index, path, prior analysis — the "old" side of both
-        // the invalidation cone and the function-granular partial
-        // re-analysis).
+        // (input index, path, prior analysis — the "old" side of the
+        // function-granular partial re-analysis).
         let mut changed: Vec<(usize, &String, Option<Arc<CachedAnalysis>>)> = Vec::new();
         // Manifest-seeded unchanged entries whose analysis still lives
         // only on disk: hydrated in parallel *after* the lock drops —
@@ -631,19 +689,14 @@ impl BatchEngine {
                     },
                 };
                 if dirty {
-                    // The prior analysis feeds the invalidation cone
-                    // and the partial re-analysis. A manifest-seeded
-                    // entry has none in memory, but the old verdict is
-                    // still on disk under the old key — pulling it
-                    // keeps cones precise across restarts.
+                    // The prior analysis feeds the partial
+                    // re-analysis. A manifest-seeded entry has none in
+                    // memory, but the old verdict is still on disk
+                    // under the old key — pulling it keeps cones
+                    // precise across restarts.
                     let old = match &entry.analysis {
                         Some(a) => Some(Arc::clone(a)),
-                        None if entry.errors.is_empty() => {
-                            match self.persistent.as_ref().map(|pc| pc.get(entry.key)) {
-                                Some(CacheLookup::Hit(hit)) => Some(Arc::new(hit)),
-                                _ => None,
-                            }
-                        }
+                        None if entry.errors.is_empty() => self.hydrate(entry.key),
                         None => None,
                     };
                     delta.changed_files += 1;
@@ -662,16 +715,11 @@ impl BatchEngine {
                     // no fingerprint recompute.
                     delta.stat_fastpath_hits += 1;
                 }
-                slots[i] = Some(TrackedOutcome {
-                    path: path.clone(),
-                    analysis: entry.analysis.clone(),
-                    errors: entry.errors.clone(),
-                    read_error: None,
-                    reanalyzed: false,
-                    cache_corrupt: false,
-                    functions_reanalyzed: 0,
-                    functions_reused: 0,
-                });
+                slots[i] = Some(TrackedOutcome::unchanged(
+                    path,
+                    entry.analysis.clone(),
+                    entry.errors.clone(),
+                ));
             }
             // Every requested path that was already tracked has been
             // classified above; if that accounts for the whole index,
@@ -690,12 +738,7 @@ impl BatchEngine {
             // Pull manifest-seeded results off disk in parallel, with
             // the tracked lock released; a missing or corrupt entry
             // degrades to a re-analysis (and heals the cache).
-            let (hydrated, _) = self.run_queue(&hydrate, jobs, |&(_, _, key)| {
-                match self.persistent.as_ref().map(|pc| pc.get(key)) {
-                    Some(CacheLookup::Hit(hit)) => Some(Arc::new(hit)),
-                    _ => None,
-                }
-            });
+            let (hydrated, _) = self.run_queue(&hydrate, jobs, |&(_, _, key)| self.hydrate(key));
             let mut tracked = self.tracked.lock().expect("tracked index poisoned");
             for (&(i, path, _), analysis) in hydrate.iter().zip(hydrated) {
                 let Some(analysis) = analysis else {
@@ -713,32 +756,18 @@ impl BatchEngine {
                 if let Some(entry) = tracked.get_mut(path.as_str()) {
                     entry.analysis = Some(Arc::clone(&analysis));
                 }
-                slots[i] = Some(TrackedOutcome {
-                    path: path.clone(),
-                    analysis: Some(analysis),
-                    errors: Vec::new(),
-                    read_error: None,
-                    reanalyzed: false,
-                    cache_corrupt: false,
-                    functions_reanalyzed: 0,
-                    functions_reused: 0,
-                });
+                slots[i] = Some(TrackedOutcome::unchanged(path, Some(analysis), Vec::new()));
             }
         }
 
-        let (rescanned, _) = self.run_queue(&changed, jobs, |item| {
-            self.read_and_track_partial(item.1, item.2.as_deref())
-        });
-        for ((i, _, old), outcome) in changed.iter().zip(rescanned) {
-            let empty: &[FunctionSummaryRecord] = &[];
-            let old_sums = old.as_ref().map_or(empty, |a| a.summaries.as_slice());
-            let new = outcome.analysis.as_ref().map_or(empty, |a| a.summaries.as_slice());
-            let (_, cone) = invalidation_cone(old_sums, new);
-            delta.changed_functions += cone.changed_functions;
-            delta.cone_functions += cone.cone_functions;
+        let (rescanned, _) = self
+            .run_queue(&changed, jobs, |(_, path, old)| self.read_and_track(path, old.as_deref()));
+        for (&(i, _, _), (outcome, functions_changed)) in changed.iter().zip(rescanned) {
+            delta.changed_functions += functions_changed;
+            delta.cone_functions += outcome.functions_reanalyzed;
             delta.functions_reanalyzed += outcome.functions_reanalyzed;
             delta.functions_reused += outcome.functions_reused;
-            slots[*i] = Some(outcome);
+            slots[i] = Some(outcome);
         }
         self.fn_reanalyzed_total.fetch_add(delta.functions_reanalyzed as u64, Ordering::Relaxed);
         self.fn_reused_total.fetch_add(delta.functions_reused as u64, Ordering::Relaxed);
@@ -760,21 +789,8 @@ impl BatchEngine {
             .filter_map(|o| o.analysis.as_ref())
             .map(|a| a.report.findings.len())
             .sum();
-        let persistent_after = self.persistent_snapshot();
-        let after = self.counters_snapshot();
-        let stats = BatchStats {
-            programs,
-            findings,
-            cache_hits: after.hits - before.hits,
-            cache_misses: after.misses - before.misses,
-            elapsed: Duration::from_nanos(self.clock.now_ns().saturating_sub(start_ns)),
-            jobs: jobs.max(1).min(changed.len().max(1)),
-            parses: after.parses - before.parses,
-            persistent_hits: persistent_after.0 - persistent_before.0,
-            persistent_misses: persistent_after.1 - persistent_before.1,
-            persistent_corrupt: persistent_after.2 - persistent_before.2,
-            persistent_write_errors: persistent_after.3 - persistent_before.3,
-        };
+        let workers = jobs.max(1).min(changed.len().max(1));
+        let stats = BatchStats { findings, ..self.stats_since(&start, programs, workers) };
         if let Some(t) = &self.trace {
             t.count("batch.delta-changed", (delta.changed_files + delta.added_files) as u64);
             t.count("batch.delta-unchanged", delta.unchanged_files as u64);
@@ -786,73 +802,37 @@ impl BatchEngine {
         (outcomes, stats, delta)
     }
 
-    /// One whole delta operation under the engine's delta gate: seed
-    /// the tracked index and the summary store from the persistent
-    /// cache if this is the engine's first delta, rescan, then persist
-    /// the manifest and the store for the next process.
-    ///
-    /// Callers that interleave delta requests with tracked full scans
-    /// on one shared engine (the daemon) must come through here: the
-    /// gate is what keeps one request from snapshotting the manifest
-    /// while another is half-way through updating the tracked index.
-    pub fn delta_scan(
-        &self,
-        paths: &[String],
-        changed_hint: Option<&[String]>,
-        jobs: usize,
-    ) -> (Vec<TrackedOutcome>, BatchStats, DeltaStats) {
-        let _gate = self.delta_gate.lock().expect("delta gate poisoned");
-        if self.tracked.lock().expect("tracked index poisoned").is_empty() {
-            self.seed_tracked_from_manifest();
-        }
-        self.load_summary_store();
-        let result = self.rescan_delta_jobs(paths, changed_hint, jobs);
-        self.save_tracked_manifest();
-        self.save_summary_store();
-        result
-    }
-
     /// Preloads the cross-file summary store from the attached
     /// persistent cache (no-op when the store already has entries, when
-    /// no cache is attached, or with function granularity off). Returns
-    /// the entries resident afterwards.
-    pub fn load_summary_store(&self) -> usize {
-        if !self.function_granularity {
-            return self.summary_store.len();
-        }
-        if let Some(pc) = &self.persistent {
+    /// no cache is attached, or with function granularity off).
+    fn load_summary_store(&self) {
+        if let (Some(pc), true) = (&self.persistent, self.function_granularity) {
             if self.summary_store.is_empty() {
                 self.summary_store.preload(pc.load_summary_entries());
             }
         }
-        self.summary_store.len()
     }
 
     /// Persists the summary store behind the cache backend when it has
-    /// unsaved entries. Best-effort, like every cache write: returns
-    /// whether a write landed.
-    pub fn save_summary_store(&self) -> bool {
-        let Some(pc) = &self.persistent else {
-            return false;
-        };
-        if !self.summary_store.is_dirty() {
-            return false;
+    /// unsaved entries. Best-effort, like every cache write.
+    fn save_summary_store(&self) {
+        if let Some(pc) = &self.persistent {
+            if self.summary_store.is_dirty()
+                && pc.store_summary_entries(&self.summary_store.snapshot())
+            {
+                self.summary_store.mark_clean();
+            }
         }
-        let ok = pc.store_summary_entries(&self.summary_store.snapshot());
-        if ok {
-            self.summary_store.mark_clean();
-        }
-        ok
     }
 
     /// Primes the tracked index from the manifest of the attached
     /// persistent cache (the `manifest.pnm` file of a `dir` backend,
     /// or the manifest record of an `indexed` store), so the very
-    /// first [`rescan_delta`](Self::rescan_delta) of a new process can
-    /// serve unchanged files from disk instead of re-parsing the
-    /// world. Already-tracked paths are left alone. Returns the number
-    /// of rows seeded (0 without a persistent cache or manifest).
-    pub fn seed_tracked_from_manifest(&self) -> usize {
+    /// first delta scan of a new process can serve unchanged files
+    /// from disk instead of re-parsing the world. Already-tracked paths
+    /// are left alone. Returns the number of rows seeded (0 without a
+    /// persistent cache or manifest).
+    fn seed_tracked_from_manifest(&self) -> usize {
         let Some(pc) = &self.persistent else {
             return 0;
         };
@@ -871,10 +851,11 @@ impl BatchEngine {
 
     /// Writes the tracked index to the attached persistent cache's
     /// manifest for the next process to seed from. Best-effort, like
-    /// every cache write: returns whether the manifest landed.
-    pub fn save_tracked_manifest(&self) -> bool {
+    /// every cache write: returns false only when a write was attempted
+    /// and did not land.
+    fn save_tracked_manifest(&self) -> bool {
         let Some(pc) = &self.persistent else {
-            return false;
+            return true;
         };
         let mut rows: Vec<ManifestRow> = {
             let tracked = self.tracked.lock().expect("tracked index poisoned");
@@ -897,66 +878,65 @@ impl BatchEngine {
     }
 
     /// Reads, analyzes, and (re-)registers one path in the tracked
-    /// index. Stat runs *before* the read: if the file changes between
-    /// the two, the recorded mtime is older than the analyzed content,
-    /// so the next rescan errs toward re-analysis, never staleness.
-    fn read_and_track(&self, path: &str) -> TrackedOutcome {
-        self.read_and_track_partial(path, None)
-    }
-
-    /// [`read_and_track`](Self::read_and_track), with the file's prior
-    /// analysis available for a function-granular partial re-analysis:
-    /// when the new text parses and only some functions changed, just
-    /// the invalidation cone is re-walked and everything else hydrates
-    /// from `old`.
-    fn read_and_track_partial(&self, path: &str, old: Option<&CachedAnalysis>) -> TrackedOutcome {
+    /// index, with the file's prior analysis (if any) available for a
+    /// function-granular partial re-analysis. Returns the outcome and
+    /// the analysis's changed-function count. Stat runs *before* the
+    /// read: if the file changes between the two, the recorded mtime
+    /// is older than the analyzed content, so the next rescan errs
+    /// toward re-analysis, never staleness.
+    fn read_and_track(&self, path: &str, old: Option<&CachedAnalysis>) -> (TrackedOutcome, usize) {
         let meta = fs::metadata(path);
         let text = match fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
                 self.tracked.lock().expect("tracked index poisoned").remove(path);
-                return TrackedOutcome {
-                    path: path.to_owned(),
-                    analysis: None,
-                    errors: Vec::new(),
+                let outcome = TrackedOutcome {
                     read_error: Some(e.to_string()),
-                    reanalyzed: false,
-                    cache_corrupt: false,
-                    functions_reanalyzed: 0,
-                    functions_reused: 0,
+                    ..TrackedOutcome::unchanged(path, None, Vec::new())
                 };
+                return (outcome, 0);
             }
         };
         let (len, mtime_ns) =
             meta.map_or((text.len() as u64, 0), |m| (m.len(), Self::mtime_ns(&m)));
         let key = source_fingerprint(&text);
-        let (outcome, functions_reanalyzed, functions_reused) =
-            self.analyze_source_partial(&text, old);
-        let SourceOutcome {
-            report,
-            summaries,
-            finding_pool,
-            errors,
-            from_disk_cache,
-            from_source_cache,
-            cache_corrupt,
-        } = outcome;
-        let analysis =
-            report.map(|report| Arc::new(CachedAnalysis { report, summaries, finding_pool }));
+        let out = self.analyze_source(&text, key, old);
         self.tracked.lock().expect("tracked index poisoned").insert(
             path.to_owned(),
-            TrackedFile { len, mtime_ns, key, analysis: analysis.clone(), errors: errors.clone() },
+            TrackedFile {
+                len,
+                mtime_ns,
+                key,
+                analysis: out.analysis.clone(),
+                errors: out.errors.clone(),
+            },
         );
-        TrackedOutcome {
+        let outcome = TrackedOutcome {
             path: path.to_owned(),
-            analysis,
-            errors,
+            analysis: out.analysis,
+            errors: out.errors,
             read_error: None,
-            reanalyzed: !(from_disk_cache || from_source_cache),
-            cache_corrupt,
-            functions_reanalyzed,
-            functions_reused,
+            reanalyzed: !(out.from_disk_cache || out.from_source_cache),
+            cache_corrupt: out.cache_corrupt,
+            functions_reanalyzed: out.functions_reanalyzed,
+            functions_reused: out.functions_reused,
+        };
+        (outcome, out.functions_changed)
+    }
+
+    /// A manifest-seeded file's analysis (current or prior), pulled off
+    /// the disk tier by source key. An owned key also becomes resident
+    /// in the store, so the store and the tracked index share the one
+    /// allocation.
+    fn hydrate(&self, key: u128) -> Option<Arc<CachedAnalysis>> {
+        let CacheLookup::Hit(entry) = self.persistent.as_ref()?.get(key) else {
+            return None;
+        };
+        let entry = Arc::new(entry);
+        if self.owns(key) {
+            self.insert(Key::Source(key), Arc::clone(&entry));
         }
+        Some(entry)
     }
 
     /// Modification time as nanoseconds since the Unix epoch (0 when
@@ -969,7 +949,7 @@ impl BatchEngine {
     }
 
     /// Drains `items` through the worker pool, preserving input order,
-    /// and accounts both cache tiers over the run. `findings` in the
+    /// and accounts the cache tiers over the run. `findings` in the
     /// returned stats is left at 0 for the caller to fill.
     fn run_queue<I: Sync, R: Send>(
         &self,
@@ -977,10 +957,7 @@ impl BatchEngine {
         jobs: usize,
         work: impl Fn(&I) -> R + Sync,
     ) -> (Vec<R>, BatchStats) {
-        let start_ns = self.clock.now_ns();
-        let before = self.counters_snapshot();
-        let persistent_before = self.persistent_snapshot();
-
+        let start = self.scan_start();
         let workers = jobs.max(1).min(items.len().max(1));
         let cursor = AtomicUsize::new(0);
         let results: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
@@ -1003,26 +980,41 @@ impl BatchEngine {
             .map(|slot| slot.expect("every queue slot is filled before the scope ends"))
             .collect();
 
-        let persistent_after = self.persistent_snapshot();
-        let after = self.counters_snapshot();
-        let stats = BatchStats {
-            programs: items.len(),
-            findings: 0,
-            cache_hits: after.hits - before.hits,
-            cache_misses: after.misses - before.misses,
-            elapsed: Duration::from_nanos(self.clock.now_ns().saturating_sub(start_ns)),
-            jobs: workers,
-            parses: after.parses - before.parses,
-            persistent_hits: persistent_after.0 - persistent_before.0,
-            persistent_misses: persistent_after.1 - persistent_before.1,
-            persistent_corrupt: persistent_after.2 - persistent_before.2,
-            persistent_write_errors: persistent_after.3 - persistent_before.3,
-        };
+        let stats = self.stats_since(&start, items.len(), workers);
         if let Some(t) = &self.trace {
             t.count("batch.programs", items.len() as u64);
             t.record_pass("batch.scan", stats.elapsed);
         }
         (results, stats)
+    }
+
+    fn scan_start(&self) -> ScanStart {
+        ScanStart {
+            ns: self.clock.now_ns(),
+            counters: self.counters_snapshot(),
+            persistent: self.persistent_snapshot(),
+        }
+    }
+
+    /// The counters a scan that began at `start` accounts for, with
+    /// `findings` left at 0.
+    fn stats_since(&self, start: &ScanStart, programs: usize, jobs: usize) -> BatchStats {
+        let persistent = self.persistent_snapshot();
+        let after = self.counters_snapshot();
+        let before = &start.counters;
+        BatchStats {
+            programs,
+            findings: 0,
+            cache_hits: after.hits - before.hits,
+            cache_misses: after.misses - before.misses,
+            elapsed: Duration::from_nanos(self.clock.now_ns().saturating_sub(start.ns)),
+            jobs,
+            parses: after.parses - before.parses,
+            persistent_hits: persistent.0 - start.persistent.0,
+            persistent_misses: persistent.1 - start.persistent.1,
+            persistent_corrupt: persistent.2 - start.persistent.2,
+            persistent_write_errors: persistent.3 - start.persistent.3,
+        }
     }
 
     fn persistent_snapshot(&self) -> (u64, u64, u64, u64) {
@@ -1047,32 +1039,22 @@ impl BatchEngine {
         self.shard.is_none_or(|s| s.owns(key))
     }
 
-    /// Runs the analyzer on a parsed program, bypassing every cache.
-    /// `store` is the cross-file summary exchange — `None` keeps the
-    /// run free of warm state (the shard-unowned contract).
-    fn analyze_uncached(&self, program: &Program, store: Option<&SummaryStore>) -> CachedAnalysis {
-        self.analyzer.analyze_full(program, self.trace.as_deref(), store)
+    /// The resident entry under `key`, counted as a hit (and traced as
+    /// `event`) when present. Only the `Arc` is cloned under the lock.
+    fn lookup(&self, key: Key, event: &str) -> Option<Arc<CachedAnalysis>> {
+        let hit = self.analyses.lock().expect("analysis store poisoned").get(&key).cloned()?;
+        self.bump(|c| {
+            c.lookups += 1;
+            c.hits += 1;
+        });
+        if let Some(t) = &self.trace {
+            t.count(event, 1);
+        }
+        Some(hit)
     }
 
-    /// Analyzes one parsed program through the in-memory cache tier.
-    fn analyze_cached(&self, program: &Program) -> CachedAnalysis {
-        let key = fingerprint(program);
-        let owned = self.owns(key);
-        if owned {
-            if let Some(hit) = self.cache.lock().expect("batch cache poisoned").get(&key) {
-                self.bump(|c| {
-                    c.lookups += 1;
-                    c.hits += 1;
-                });
-                if let Some(t) = &self.trace {
-                    t.count("batch.cache-hit", 1);
-                }
-                return hit.clone();
-            }
-        }
-        // The lock is dropped during analysis: concurrent misses on the
-        // same key may both analyze (identical, deterministic results),
-        // but workers never serialize behind a slow analysis.
+    /// Counts one lookup that ended in an analysis.
+    fn count_miss(&self) {
         self.bump(|c| {
             c.lookups += 1;
             c.misses += 1;
@@ -1080,235 +1062,149 @@ impl BatchEngine {
         if let Some(t) = &self.trace {
             t.count("batch.cache-miss", 1);
         }
-        let store = (owned && self.function_granularity).then_some(&*self.summary_store);
-        let entry = self.analyze_uncached(program, store);
+    }
+
+    fn insert(&self, key: Key, entry: Arc<CachedAnalysis>) {
+        self.analyses.lock().expect("analysis store poisoned").insert(key, entry);
+    }
+
+    /// Analyzes one builder program through the store, under its
+    /// program key.
+    fn analyze_program(&self, program: &Program) -> Arc<CachedAnalysis> {
+        let key = fingerprint(program);
+        let owned = self.owns(key);
         if owned {
-            self.cache.lock().expect("batch cache poisoned").insert(key, entry.clone());
+            if let Some(hit) = self.lookup(Key::Program(key), "batch.cache-hit") {
+                return hit;
+            }
+        }
+        // The lock is dropped during analysis: concurrent misses on the
+        // same key may both analyze (identical, deterministic results),
+        // but workers never serialize behind a slow analysis.
+        self.count_miss();
+        let store = (owned && self.function_granularity).then_some(&*self.summary_store);
+        let entry = Arc::new(self.analyzer.analyze_full(program, self.trace.as_deref(), store));
+        if owned {
+            self.insert(Key::Program(key), Arc::clone(&entry));
         }
         entry
     }
 
-    /// Analyzes one source text through every cache tier: the in-memory
-    /// source-fingerprint tier first (fastest, and the one a resident
-    /// daemon stays warm on), then the on-disk tier, then parse +
-    /// program-fingerprint tier.
-    fn analyze_source(&self, source: &str) -> SourceOutcome {
-        self.analyze_source_partial(source, None).0
-    }
-
-    /// [`analyze_source`](Self::analyze_source), attempting a
-    /// function-granular partial re-analysis against `old` when every
-    /// cache tier misses. Returns the outcome plus the
-    /// `(functions_reanalyzed, functions_reused)` pair for delta
-    /// accounting — `(0, all)` for any tier hit (a touched file whose
-    /// content a warm tier already knows reuses every function without
-    /// a walk), `(all, 0)` for a whole-file analysis — so the pair
-    /// always sums to the file's function count.
-    fn analyze_source_partial(
-        &self,
-        source: &str,
-        old: Option<&CachedAnalysis>,
-    ) -> (SourceOutcome, usize, usize) {
-        let key = source_fingerprint(source);
-        if !self.owns(key) {
-            // Another replica owns this fingerprint: analyze it
-            // correctly but through the full uncached path, reading and
-            // writing no warm tier (the summary store included), so
-            // sharded replicas split warm state instead of each
-            // accumulating all of it.
-            self.bump(|c| {
-                c.lookups += 1;
-                c.misses += 1;
-                c.parses += 1;
-            });
-            if let Some(t) = &self.trace {
-                t.count("batch.shard-unowned", 1);
-            }
-            return match parse_program_recovering(source) {
-                Err(errors) => (
-                    SourceOutcome {
-                        report: None,
-                        summaries: Vec::new(),
-                        finding_pool: Vec::new(),
-                        errors,
-                        from_disk_cache: false,
-                        from_source_cache: false,
-                        cache_corrupt: false,
-                    },
-                    0,
-                    0,
-                ),
-                Ok(program) => {
-                    let entry = self.analyze_uncached(&program, None);
-                    let reanalyzed = entry.summaries.len();
-                    (
-                        SourceOutcome {
-                            report: Some(entry.report),
-                            summaries: entry.summaries,
-                            finding_pool: entry.finding_pool,
-                            errors: Vec::new(),
-                            from_disk_cache: false,
-                            from_source_cache: false,
-                            cache_corrupt: false,
-                        },
-                        reanalyzed,
-                        0,
-                    )
-                }
-            };
-        }
-        if let Some(hit) = self.source_cache.lock().expect("source cache poisoned").get(&key) {
-            self.bump(|c| {
-                c.lookups += 1;
-                c.hits += 1;
-            });
-            if let Some(t) = &self.trace {
-                t.count("batch.source-hit", 1);
-            }
-            let reused = hit.summaries.len();
-            return (
-                SourceOutcome {
-                    report: Some(hit.report.clone()),
-                    summaries: hit.summaries.clone(),
-                    finding_pool: hit.finding_pool.clone(),
-                    errors: Vec::new(),
-                    from_disk_cache: false,
-                    from_source_cache: true,
-                    cache_corrupt: false,
-                },
-                0,
-                reused,
-            );
-        }
+    /// Analyzes one source text (whose [`source_fingerprint`] is `key`)
+    /// through every tier: the in-memory store first (fastest, and the
+    /// one a resident daemon stays warm on), then the on-disk tier,
+    /// then parse and analyze. With `old`, the file's prior analysis,
+    /// a miss tries a function-granular partial re-analysis before a
+    /// whole-file one.
+    fn analyze_source(&self, source: &str, key: u128, old: Option<&CachedAnalysis>) -> Analyzed {
+        // An unowned key belongs to another replica: it is analyzed
+        // correctly but through the full uncached path, reading and
+        // writing no warm tier (the summary store included), so sharded
+        // replicas split warm state instead of each accumulating all
+        // of it.
+        let owned = self.owns(key);
         let mut cache_corrupt = false;
-        if let Some(pc) = &self.persistent {
-            match pc.get(key) {
-                CacheLookup::Hit(entry) => {
-                    if let Some(t) = &self.trace {
-                        t.count("batch.persistent-hit", 1);
+        if owned {
+            if let Some(hit) = self.lookup(Key::Source(key), "batch.source-hit") {
+                return Analyzed::served(hit, false);
+            }
+            if let Some(pc) = &self.persistent {
+                let event = match pc.get(key) {
+                    CacheLookup::Hit(entry) => {
+                        if let Some(t) = &self.trace {
+                            t.count("batch.persistent-hit", 1);
+                        }
+                        let entry = Arc::new(entry);
+                        self.insert(Key::Source(key), Arc::clone(&entry));
+                        return Analyzed::served(entry, true);
                     }
-                    self.source_cache
-                        .lock()
-                        .expect("source cache poisoned")
-                        .insert(key, entry.clone());
-                    let reused = entry.summaries.len();
-                    return (
-                        SourceOutcome {
-                            report: Some(entry.report),
-                            summaries: entry.summaries,
-                            finding_pool: entry.finding_pool,
-                            errors: Vec::new(),
-                            from_disk_cache: true,
-                            from_source_cache: false,
-                            cache_corrupt: false,
-                        },
-                        0,
-                        reused,
-                    );
-                }
-                CacheLookup::Corrupt => {
-                    cache_corrupt = true;
-                    if let Some(t) = &self.trace {
-                        t.count("batch.persistent-corrupt", 1);
+                    CacheLookup::Corrupt => {
+                        cache_corrupt = true;
+                        "batch.persistent-corrupt"
                     }
-                }
-                CacheLookup::Miss => {
-                    if let Some(t) = &self.trace {
-                        t.count("batch.persistent-miss", 1);
-                    }
+                    CacheLookup::Miss => "batch.persistent-miss",
+                };
+                if let Some(t) = &self.trace {
+                    t.count(event, 1);
                 }
             }
+        } else if let Some(t) = &self.trace {
+            t.count("batch.shard-unowned", 1);
         }
         self.bump(|c| c.parses += 1);
-        match parse_program_recovering(source) {
-            Err(errors) => (
-                SourceOutcome {
-                    report: None,
-                    summaries: Vec::new(),
-                    finding_pool: Vec::new(),
-                    errors,
-                    from_disk_cache: false,
-                    from_source_cache: false,
-                    cache_corrupt,
-                },
-                0,
-                0,
-            ),
-            Ok(program) => {
-                // Every tier missed: try the cone-only partial path
-                // before paying for a whole-file analysis. The result
-                // is byte-identical either way (asserted in debug
-                // builds), so it feeds the same caches.
-                let partial = old.filter(|_| self.function_granularity).and_then(|o| {
-                    self.analyzer.analyze_partial(&program, o, Some(&self.summary_store))
-                });
-                let (entry, reanalyzed, reused) = match partial {
-                    Some(p) => {
-                        self.bump(|c| {
-                            c.lookups += 1;
-                            c.misses += 1;
-                        });
-                        if let Some(t) = &self.trace {
-                            t.count("batch.partial-analysis", 1);
-                            t.count("batch.cache-miss", 1);
-                        }
-                        let pkey = fingerprint(&program);
-                        if self.owns(pkey) {
-                            self.cache
-                                .lock()
-                                .expect("batch cache poisoned")
-                                .insert(pkey, p.analysis.clone());
-                        }
-                        (p.analysis, p.functions_reanalyzed as usize, p.functions_reused as usize)
-                    }
-                    None => {
-                        let entry = self.analyze_cached(&program);
-                        let reanalyzed = entry.summaries.len();
-                        (entry, reanalyzed, 0)
-                    }
-                };
-                self.source_cache.lock().expect("source cache poisoned").insert(key, entry.clone());
-                if let Some(pc) = &self.persistent {
-                    pc.put(key, &entry);
+        let program = match parse_program_recovering(source) {
+            Ok(program) => program,
+            Err(errors) => return Analyzed { errors, cache_corrupt, ..Analyzed::default() },
+        };
+        // A concurrent request for the same text may have finished its
+        // analysis while this one parsed.
+        if let Some(hit) =
+            owned.then(|| self.lookup(Key::Source(key), "batch.source-hit")).flatten()
+        {
+            return Analyzed::served(hit, false);
+        }
+        self.count_miss();
+        let store = (owned && self.function_granularity).then_some(&*self.summary_store);
+        // The cone-only partial path is byte-identical to a whole-file
+        // analysis (asserted in debug builds), so it feeds the same
+        // tiers.
+        let partial = old
+            .filter(|_| store.is_some())
+            .and_then(|o| self.analyzer.analyze_partial(&program, o, store));
+        let mut out = Analyzed { cache_corrupt, ..Analyzed::default() };
+        let entry = match partial {
+            Some(p) => {
+                if let Some(t) = &self.trace {
+                    t.count("batch.partial-analysis", 1);
                 }
-                (
-                    SourceOutcome {
-                        report: Some(entry.report),
-                        summaries: entry.summaries,
-                        finding_pool: entry.finding_pool,
-                        errors: Vec::new(),
-                        from_disk_cache: false,
-                        from_source_cache: false,
-                        cache_corrupt,
-                    },
-                    reanalyzed,
-                    reused,
-                )
+                out.functions_changed = p.functions_changed as usize;
+                out.functions_reanalyzed = p.functions_reanalyzed as usize;
+                out.functions_reused = p.functions_reused as usize;
+                p.analysis
+            }
+            None => {
+                let entry = self.analyzer.analyze_full(&program, self.trace.as_deref(), store);
+                out.functions_changed = entry.summaries.len();
+                out.functions_reanalyzed = entry.summaries.len();
+                entry
+            }
+        };
+        let entry = Arc::new(entry);
+        if owned {
+            self.insert(Key::Source(key), Arc::clone(&entry));
+            if let Some(pc) = &self.persistent {
+                pc.put(key, &entry);
             }
         }
+        out.analysis = Some(entry);
+        out
     }
 
-    /// Lifetime hit/miss/parse counters and the current cache sizes.
+    /// Lifetime hit/miss/parse counters and the current store sizes.
     /// The counters come from one consistent snapshot, so
     /// `hits + misses == lookups` holds even while requests race this
     /// read.
     pub fn cache_stats(&self) -> CacheStats {
         let counters = self.counters_snapshot();
+        let (entries, source_entries) = {
+            let analyses = self.analyses.lock().expect("analysis store poisoned");
+            let programs = analyses.keys().filter(|k| matches!(k, Key::Program(_))).count();
+            (programs, analyses.len() - programs)
+        };
         CacheStats {
             hits: counters.hits,
             misses: counters.misses,
             lookups: counters.lookups,
-            entries: self.cache.lock().expect("batch cache poisoned").len(),
-            source_entries: self.source_cache.lock().expect("source cache poisoned").len(),
+            entries,
+            source_entries,
             parses: counters.parses,
         }
     }
 
-    /// Drops every cached report in both in-memory tiers (counters are
-    /// kept; the on-disk tier is untouched).
+    /// Drops every entry of the in-memory store (counters are kept;
+    /// the on-disk tier and the tracked index are untouched).
     pub fn clear_cache(&self) {
-        self.cache.lock().expect("batch cache poisoned").clear();
-        self.source_cache.lock().expect("source cache poisoned").clear();
+        self.analyses.lock().expect("analysis store poisoned").clear();
     }
 }
 
@@ -1357,7 +1253,7 @@ mod tests {
     fn reports_come_back_in_input_order() {
         let programs = mixed(37);
         let engine = BatchEngine::new(Analyzer::new()).with_jobs(8);
-        let reports = engine.scan(&programs);
+        let (reports, _) = engine.scan_with_stats(&programs);
         assert_eq!(reports.len(), programs.len());
         for (program, report) in programs.iter().zip(&reports) {
             assert_eq!(program.name, report.program);
@@ -1367,8 +1263,8 @@ mod tests {
     #[test]
     fn worker_count_does_not_change_results() {
         let programs = mixed(24);
-        let serial = BatchEngine::new(Analyzer::new()).with_jobs(1).scan(&programs);
-        let parallel = BatchEngine::new(Analyzer::new()).with_jobs(8).scan(&programs);
+        let serial = BatchEngine::new(Analyzer::new()).with_jobs(1).scan_with_stats(&programs).0;
+        let parallel = BatchEngine::new(Analyzer::new()).with_jobs(8).scan_with_stats(&programs).0;
         assert_eq!(serial, parallel);
     }
 
@@ -1383,7 +1279,7 @@ mod tests {
         assert_eq!(second.cache_hits, 10);
         assert_eq!(second.cache_misses, 0);
         assert!((second.cache_hit_rate() - 1.0).abs() < f64::EPSILON);
-        assert_eq!(reports, engine.scan(&programs));
+        assert_eq!(reports, engine.scan_with_stats(&programs).0);
     }
 
     #[test]
@@ -1420,7 +1316,7 @@ mod tests {
     fn clear_cache_forces_reanalysis() {
         let programs = mixed(4);
         let engine = BatchEngine::default().with_jobs(2);
-        engine.scan(&programs);
+        engine.scan_with_stats(&programs);
         engine.clear_cache();
         let (_, stats) = engine.scan_with_stats(&programs);
         assert_eq!(stats.cache_misses, 4);
@@ -1435,7 +1331,7 @@ mod tests {
         // One worker: the duplicate is deterministically a cache hit.
         let engine = BatchEngine::default().with_jobs(1).with_trace(Arc::clone(&trace));
         let programs = vec![vulnerable("same"), vulnerable("same"), safe("other")];
-        engine.scan(&programs);
+        engine.scan_with_stats(&programs);
         let snap = trace.snapshot();
         assert_eq!(snap.counters["batch.programs"], 3);
         assert_eq!(snap.counters["batch.cache-hit"], 1);
@@ -1493,8 +1389,15 @@ mod tests {
             first.iter().map(|o| &o.report).collect::<Vec<_>>(),
             second.iter().map(|o| &o.report).collect::<Vec<_>>(),
         );
-        assert_eq!(first[0].summaries, second[0].summaries);
-        assert!(!second[0].summaries.is_empty(), "summary records survive the round-trip");
+        let CacheLookup::Hit(stored) =
+            warm.persistent_cache().unwrap().get(source_fingerprint(VULN_SRC))
+        else {
+            panic!("the cold scan stored the entry");
+        };
+        let program = crate::parse::parse_program(VULN_SRC).unwrap();
+        let fresh = Analyzer::new().analyze_full(&program, None, None);
+        assert_eq!(stored.summaries, fresh.summaries);
+        assert!(!stored.summaries.is_empty(), "summary records survive the round-trip");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1619,20 +1522,29 @@ mod tests {
             .collect()
     }
 
+    /// A delta scan at the engine's own worker count.
+    fn rescan(
+        engine: &BatchEngine,
+        paths: &[String],
+        hint: Option<&[String]>,
+    ) -> (Vec<TrackedOutcome>, BatchStats, DeltaStats) {
+        engine.delta_scan(paths, hint, engine.jobs())
+    }
+
     fn reports_of(outcomes: &[TrackedOutcome]) -> Vec<Option<Report>> {
         outcomes.iter().map(|o| o.analysis.as_ref().map(|a| a.report.clone())).collect()
     }
 
     #[test]
-    fn rescan_delta_reanalyzes_only_the_edited_file() {
+    fn delta_scan_reanalyzes_only_the_edited_file() {
         let dir = tmp_cache_dir("delta-one-edit");
         let paths = write_corpus(&dir.join("src"), 12);
         let engine = BatchEngine::default().with_jobs(2);
-        let (cold, stats) = engine.scan_paths_tracked(&paths);
+        let (cold, stats, _) = rescan(&engine, &paths, None);
         assert_eq!(stats.parses, 12);
 
         // No edits: everything served from the tracked index.
-        let (same, stats, delta) = engine.rescan_delta(&paths, None);
+        let (same, stats, delta) = rescan(&engine, &paths, None);
         assert_eq!(stats.parses, 0, "no-op rescan must not parse");
         assert_eq!(delta.unchanged_files, 12);
         assert_eq!(delta.changed_files + delta.added_files, 0);
@@ -1641,7 +1553,7 @@ mod tests {
 
         // Edit one file (flip it to vulnerable) and rescan.
         std::fs::write(&paths[0], VULN_SRC).unwrap();
-        let (warm, stats, delta) = engine.rescan_delta(&paths, None);
+        let (warm, stats, delta) = rescan(&engine, &paths, None);
         assert_eq!(stats.parses, 1, "only the edited file parses");
         assert_eq!(delta.changed_files, 1);
         assert_eq!(delta.unchanged_files, 11);
@@ -1651,17 +1563,17 @@ mod tests {
 
         // The delta result equals a from-scratch scan of the same tree.
         let fresh = BatchEngine::default().with_jobs(2);
-        let (full, _) = fresh.scan_paths_tracked(&paths);
+        let (full, _, _) = rescan(&fresh, &paths, None);
         assert_eq!(reports_of(&warm), reports_of(&full));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn rescan_delta_tracks_added_removed_and_hinted_files() {
+    fn delta_scan_tracks_added_removed_and_hinted_files() {
         let dir = tmp_cache_dir("delta-add-remove");
         let mut paths = write_corpus(&dir.join("src"), 4);
         let engine = BatchEngine::default().with_jobs(2);
-        engine.scan_paths_tracked(&paths);
+        rescan(&engine, &paths, None);
 
         // Drop one path from the list, add a new file, hint another.
         let removed = paths.remove(3);
@@ -1669,7 +1581,7 @@ mod tests {
         std::fs::write(&added, VULN_SRC).unwrap();
         paths.push(added.to_string_lossy().into_owned());
         let hint = vec![paths[1].clone()];
-        let (outcomes, _, delta) = engine.rescan_delta(&paths, Some(&hint));
+        let (outcomes, _, delta) = rescan(&engine, &paths, Some(&hint));
         assert_eq!(delta.added_files, 1);
         assert_eq!(delta.removed_files, 1);
         assert_eq!(delta.changed_files, 1, "the hinted file re-analyzes");
@@ -1687,17 +1599,17 @@ mod tests {
     /// skips the stat sweep, so an edit the client did not name stays
     /// stale until the next unhinted rescan catches it.
     #[test]
-    fn rescan_delta_hint_is_trusted_and_unhinted_rescan_heals() {
+    fn delta_scan_hint_is_trusted_and_unhinted_rescan_heals() {
         let dir = tmp_cache_dir("delta-hint-trust");
         let paths = write_corpus(&dir.join("src"), 3);
         let engine = BatchEngine::default().with_jobs(1);
-        let (cold, _) = engine.scan_paths_tracked(&paths);
+        let (cold, _, _) = rescan(&engine, &paths, None);
         assert!(!cold[0].analysis.as_ref().unwrap().report.detected(), "file 0 starts safe");
 
         // Edit file 0 but hint only file 1: the edit is invisible.
         std::fs::write(&paths[0], VULN_SRC).unwrap();
         let hint = vec![paths[1].clone()];
-        let (outcomes, _, delta) = engine.rescan_delta(&paths, Some(&hint));
+        let (outcomes, _, delta) = rescan(&engine, &paths, Some(&hint));
         assert_eq!(delta.changed_files, 1, "only the hinted file re-ran");
         assert!(
             !outcomes[0].analysis.as_ref().unwrap().report.detected(),
@@ -1705,20 +1617,20 @@ mod tests {
         );
 
         // The unhinted (stat-sweep) rescan finds the drift and heals.
-        let (outcomes, _, delta) = engine.rescan_delta(&paths, None);
+        let (outcomes, _, delta) = rescan(&engine, &paths, None);
         assert_eq!(delta.changed_files, 1);
         assert!(outcomes[0].analysis.as_ref().unwrap().report.detected(), "drift re-analyzed");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn rescan_delta_surfaces_read_errors_like_a_full_scan() {
+    fn delta_scan_surfaces_read_errors_like_a_full_scan() {
         let dir = tmp_cache_dir("delta-unreadable");
         let paths = write_corpus(&dir.join("src"), 2);
         let engine = BatchEngine::default().with_jobs(1);
-        engine.scan_paths_tracked(&paths);
+        rescan(&engine, &paths, None);
         std::fs::remove_file(&paths[0]).unwrap();
-        let (outcomes, _, delta) = engine.rescan_delta(&paths, None);
+        let (outcomes, _, delta) = rescan(&engine, &paths, None);
         assert!(outcomes[0].read_error.is_some());
         assert!(outcomes[0].analysis.is_none());
         assert_eq!(delta.changed_files, 1, "a vanished file classifies as changed");
@@ -1733,23 +1645,24 @@ mod tests {
         let cache_dir = dir.join("cache");
 
         let first = engine_with_disk_cache(&cache_dir);
-        let (cold, stats) = first.scan_paths_tracked(&paths);
+        let (cold, stats, delta) = rescan(&first, &paths, None);
         assert_eq!(stats.parses, 6);
-        assert!(first.save_tracked_manifest());
+        assert_eq!(delta.seeded_files, 0, "no manifest yet");
+        assert!(!delta.manifest_save_failed);
 
         // A fresh engine (fresh process, in effect) seeds from the
         // manifest: the unchanged world comes from disk with zero
         // parses, lazily hydrated through the persistent tier.
         let second = engine_with_disk_cache(&cache_dir);
-        assert_eq!(second.seed_tracked_from_manifest(), 6);
         std::fs::write(&paths[2], VULN_SRC).unwrap();
-        let (warm, stats, delta) = second.rescan_delta(&paths, None);
+        let (warm, stats, delta) = rescan(&second, &paths, None);
+        assert_eq!(delta.seeded_files, 6);
         assert_eq!(delta.unchanged_files, 5);
         assert_eq!(delta.changed_files, 1);
         assert_eq!(stats.parses, 1, "only the edit parses in the new process");
         assert_eq!(
             stats.persistent_hits, 6,
-            "unchanged files hydrate from disk, plus the edit's old entry for the cone"
+            "unchanged files hydrate from disk, plus the edit's old entry for the partial path"
         );
         for (i, (a, b)) in cold.iter().zip(&warm).enumerate() {
             if i != 2 {
@@ -1769,8 +1682,7 @@ mod tests {
         let paths = write_corpus(&dir.join("src"), 2);
         let cache_dir = dir.join("cache");
         let first = engine_with_disk_cache(&cache_dir);
-        first.scan_paths_tracked(&paths);
-        assert!(first.save_tracked_manifest());
+        assert!(!rescan(&first, &paths, None).2.manifest_save_failed);
 
         // Wipe the .pnc entries but keep the manifest: the promise is
         // broken, and the rescan must fall back to re-analysis.
@@ -1781,8 +1693,8 @@ mod tests {
             }
         }
         let second = engine_with_disk_cache(&cache_dir);
-        second.seed_tracked_from_manifest();
-        let (outcomes, stats, delta) = second.rescan_delta(&paths, None);
+        let (outcomes, stats, delta) = rescan(&second, &paths, None);
+        assert_eq!(delta.seeded_files, 2);
         assert_eq!(delta.changed_files, 2);
         assert_eq!(stats.parses, 2);
         assert!(outcomes.iter().all(|o| o.analysis.is_some()));
@@ -1874,9 +1786,12 @@ mod tests {
                 let engine = Arc::clone(&engine);
                 let sources = sources.clone();
                 let stop = Arc::clone(&stop);
-                scope.spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        engine.scan_sources_with_stats_jobs(&sources, 2);
+                // At least one scan per thread, however fast the
+                // sampler below finishes.
+                scope.spawn(move || loop {
+                    engine.scan_sources_with_stats_jobs(&sources, 2);
+                    if stop.load(Ordering::Relaxed) {
+                        break;
                     }
                 });
             }
@@ -1891,6 +1806,76 @@ mod tests {
         let final_snap = engine.cache_stats();
         assert_eq!(final_snap.hits + final_snap.misses, final_snap.lookups);
         assert!(final_snap.lookups > 0);
+    }
+
+    /// `src` laid out differently — leading blank lines, re-indented
+    /// bodies — so every span moves but the pretty form stays.
+    fn reflowed(src: &str) -> String {
+        format!("\n\n\n{}", src.replace("    ", "  "))
+    }
+
+    /// The `pncheck-report/1` envelope of one source outcome. Unlike
+    /// `Report`'s `PartialEq`, it compares spans.
+    fn envelope(outcome: &SourceOutcome) -> String {
+        let record = crate::emit::FileRecord {
+            path: "-".into(),
+            report: outcome.report.clone(),
+            errors: outcome.errors.clone(),
+        };
+        crate::emit::render_json(std::slice::from_ref(&record), None, None)
+    }
+
+    fn fresh_envelope(source: &str) -> String {
+        envelope(&BatchEngine::default().with_jobs(1).scan_sources_with_stats(&[source]).0[0])
+    }
+
+    #[test]
+    fn layout_variants_of_one_program_keep_their_own_spans() {
+        let variant = reflowed(VULN_SRC);
+        let parse = |s: &str| crate::parse::parse_program(s).unwrap();
+        assert_eq!(fingerprint(&parse(VULN_SRC)), fingerprint(&parse(&variant)));
+        assert_ne!(fresh_envelope(VULN_SRC), fresh_envelope(&variant), "spans differ");
+
+        let engine = BatchEngine::default().with_jobs(1);
+        engine.scan_sources_with_stats(&[VULN_SRC]);
+        let (second, stats) = engine.scan_sources_with_stats(&[variant.as_str()]);
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1), "a new text is analyzed");
+        assert_eq!(envelope(&second[0]), fresh_envelope(&variant));
+    }
+
+    #[test]
+    fn layout_variant_persists_its_own_spans_across_a_restart() {
+        let dir = tmp_cache_dir("layout-restart");
+        let variant = reflowed(VULN_SRC);
+        let first = engine_with_disk_cache(&dir);
+        first.scan_sources_with_stats(&[VULN_SRC]);
+        first.scan_sources_with_stats(&[variant.as_str()]);
+
+        // A new process reads the variant's `.pnc`: it must hold the
+        // variant's spans, not the first text's.
+        let (warm, _) = engine_with_disk_cache(&dir).scan_sources_with_stats(&[variant.as_str()]);
+        assert!(warm[0].from_disk_cache);
+        assert_eq!(envelope(&warm[0]), fresh_envelope(&variant));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_builder_program_and_its_pretty_text_never_share_an_entry() {
+        let program = vulnerable("shared");
+        let text = pretty(&program);
+
+        let engine = BatchEngine::default().with_jobs(1);
+        engine.scan_with_stats(std::slice::from_ref(&program));
+        let (outcomes, stats) = engine.scan_sources_with_stats(&[text.as_str()]);
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1), "text misses the program");
+        assert_eq!(envelope(&outcomes[0]), fresh_envelope(&text), "the text's own spans");
+
+        let engine = BatchEngine::default().with_jobs(1);
+        engine.scan_sources_with_stats(&[text.as_str()]);
+        let (_, stats) = engine.scan_with_stats(std::slice::from_ref(&program));
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1), "program misses the text");
+        let cache = engine.cache_stats();
+        assert_eq!((cache.entries, cache.source_entries), (1, 1));
     }
 
     #[test]

@@ -78,8 +78,8 @@ use pnew_detector::emit::{self, FileRecord, OracleRecord, OutputFormat};
 use pnew_detector::oracle::{Matrix, Oracle, Verdict};
 use pnew_detector::trace::TraceCollector;
 use pnew_detector::{
-    parse_program_recovering, Analyzer, BaselineChecker, BatchEngine, Fixer, ParseError,
-    PersistentCache, Program, Severity,
+    parse_program_recovering, Analyzer, BaselineChecker, BatchEngine, BatchStats, Fixer,
+    ParseError, PersistentCache, Program, Severity,
 };
 
 const USAGE: &str = "usage: pncheck [--baseline] [--fix] [--oracle] [--format text|json|sarif] [--min-severity LEVEL] [--disable KIND]... [--jobs N] [--cache-dir DIR] [--cache-backend dir|indexed] [--delta] [--no-summaries] [--stats] PATH... | -";
@@ -349,81 +349,104 @@ fn main() -> ExitCode {
     let any_findings =
         records.iter().filter_map(|r| r.report.as_ref()).any(|r| r.detected_at(Severity::Warning));
 
+    let embedded = if stats { scan_stats.as_ref() } else { None };
+    print_records(format, &records, embedded, trace.as_deref(), |i| {
+        if fix {
+            // The report may have come from the disk cache, so the IR is
+            // re-derived here; --fix is a rare, interactive path where
+            // one extra parse is cheap.
+            let program =
+                parse_program_recovering(&files[i].source).expect("a file with a report parses");
+            let (fixed, fixes) = Fixer::new().fix(&program);
+            for f in &fixes {
+                eprintln!("fix: {f}");
+            }
+            print!("{}", pnew_detector::pretty_program(&fixed));
+        }
+    });
+
+    if stats {
+        if let Some(s) = &scan_stats {
+            print_stats(s, errored_files, cache_dir.is_some());
+        } else {
+            eprintln!("stats: baseline mode scans serially; no batch stats");
+        }
+        print_trace(trace.as_deref());
+    }
+    exit_status(had_errors, any_findings)
+}
+
+/// Prints the scan's records on stdout in `format`. In text mode
+/// `after_report(i)` runs after record `i`'s report (the `--fix` hook).
+/// Stats and trace carry wall-clock timings, so they embed in the JSON
+/// envelope only on request — the default envelope is deterministic.
+fn print_records(
+    format: OutputFormat,
+    records: &[FileRecord],
+    embedded: Option<&BatchStats>,
+    trace: Option<&TraceCollector>,
+    mut after_report: impl FnMut(usize),
+) {
     match format {
         OutputFormat::Text => {
-            for (file, record) in files.iter().zip(&records) {
+            for (i, record) in records.iter().enumerate() {
                 let Some(report) = &record.report else { continue };
                 print!("{report}");
                 for finding in &report.findings {
                     println!("    hint: {}", finding.kind.suggestion());
                 }
-                if fix {
-                    // The report may have come from the disk cache, so
-                    // the IR is re-derived here; --fix is a rare,
-                    // interactive path where one extra parse is cheap.
-                    let program = parse_program_recovering(&file.source)
-                        .expect("a file with a report parses");
-                    let (fixed, fixes) = Fixer::new().fix(&program);
-                    for f in &fixes {
-                        eprintln!("fix: {f}");
-                    }
-                    print!("{}", pnew_detector::pretty_program(&fixed));
-                }
+                after_report(i);
             }
         }
         OutputFormat::Json => {
-            // Stats and trace carry wall-clock timings, so they embed only
-            // on request — the default envelope is deterministic.
-            let snapshot = trace.as_ref().map(|t| t.snapshot());
-            let embedded = if stats { scan_stats.as_ref() } else { None };
-            print!("{}", emit::render_json(&records, embedded, snapshot.as_ref()));
+            let snapshot = trace.map(|t| t.snapshot());
+            print!("{}", emit::render_json(records, embedded, snapshot.as_ref()));
         }
-        OutputFormat::Sarif => {
-            print!("{}", emit::render_sarif(&records));
+        OutputFormat::Sarif => print!("{}", emit::render_sarif(records)),
+    }
+}
+
+/// The `--stats` line for one scan. The disk tier reports separately
+/// from the in-memory store: "cache" is per-process memoization, "disk"
+/// is the cross-run --cache-dir store.
+fn print_stats(s: &BatchStats, errored_files: usize, disk: bool) {
+    let disk = if disk {
+        format!(
+            ", disk {}/{} hit/miss ({} corrupt, {} write errors)",
+            s.persistent_hits, s.persistent_misses, s.persistent_corrupt, s.persistent_write_errors
+        )
+    } else {
+        String::new()
+    };
+    eprintln!(
+        "stats: {} programs, {} findings, {} errored files, {:.0} programs/sec, {} jobs, cache {}/{} hit/miss ({:.1}% hit rate){disk}, {:.3}s elapsed",
+        s.programs,
+        s.findings,
+        errored_files,
+        s.programs_per_sec(),
+        s.jobs,
+        s.cache_hits,
+        s.cache_misses,
+        s.cache_hit_rate() * 100.0,
+        s.elapsed.as_secs_f64(),
+    );
+}
+
+/// The `--stats` trace lines, when tracing ran.
+fn print_trace(trace: Option<&TraceCollector>) {
+    if let Some(t) = trace {
+        for line in t.snapshot().lines() {
+            eprintln!("{line}");
         }
     }
+}
 
-    if stats {
-        if let Some(s) = &scan_stats {
-            // The disk tier reports separately from the in-memory
-            // fingerprint cache: "cache" is per-process memoization,
-            // "disk" is the cross-run --cache-dir store.
-            let disk = if cache_dir.is_some() {
-                format!(
-                    ", disk {}/{} hit/miss ({} corrupt, {} write errors)",
-                    s.persistent_hits,
-                    s.persistent_misses,
-                    s.persistent_corrupt,
-                    s.persistent_write_errors
-                )
-            } else {
-                String::new()
-            };
-            eprintln!(
-                "stats: {} programs, {} findings, {} errored files, {:.0} programs/sec, {} jobs, cache {}/{} hit/miss ({:.1}% hit rate){disk}, {:.3}s elapsed",
-                s.programs,
-                s.findings,
-                errored_files,
-                s.programs_per_sec(),
-                s.jobs,
-                s.cache_hits,
-                s.cache_misses,
-                s.cache_hit_rate() * 100.0,
-                s.elapsed.as_secs_f64(),
-            );
-        } else {
-            eprintln!("stats: baseline mode scans serially; no batch stats");
-        }
-        if let Some(t) = &trace {
-            for line in t.snapshot().lines() {
-                eprintln!("{line}");
-            }
-        }
-    }
-
+/// Exit 2 on any error, else 1 when `failed` (findings, or oracle false
+/// negatives), else 0.
+fn exit_status(had_errors: bool, failed: bool) -> ExitCode {
     if had_errors {
         ExitCode::from(2)
-    } else if any_findings {
+    } else if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -452,13 +475,10 @@ fn run_delta(
     trace: Option<&TraceCollector>,
     mut had_errors: bool,
 ) -> ExitCode {
-    let seeded = engine.seed_tracked_from_manifest();
-    engine.load_summary_store();
-    let (outcomes, scan_stats, delta) = engine.rescan_delta(paths, None);
-    if !engine.save_tracked_manifest() {
+    let (outcomes, scan_stats, delta) = engine.delta_scan(paths, None, engine.jobs());
+    if delta.manifest_save_failed {
         eprintln!("pncheck: warning: could not write the delta manifest; next run rescans cold");
     }
-    engine.save_summary_store();
 
     // Replicate the full-scan error reporting exactly: unreadable files
     // are named on stderr and never become a record; parse errors are
@@ -491,44 +511,10 @@ fn run_delta(
     let any_findings =
         records.iter().filter_map(|r| r.report.as_ref()).any(|r| r.detected_at(Severity::Warning));
 
-    match format {
-        OutputFormat::Text => {
-            for record in &records {
-                let Some(report) = &record.report else { continue };
-                print!("{report}");
-                for finding in &report.findings {
-                    println!("    hint: {}", finding.kind.suggestion());
-                }
-            }
-        }
-        OutputFormat::Json => {
-            let snapshot = trace.map(|t| t.snapshot());
-            let embedded = stats.then_some(&scan_stats);
-            print!("{}", emit::render_json(&records, embedded, snapshot.as_ref()));
-        }
-        OutputFormat::Sarif => {
-            print!("{}", emit::render_sarif(&records));
-        }
-    }
+    print_records(format, &records, stats.then_some(&scan_stats), trace, |_| {});
 
     if stats {
-        let s = &scan_stats;
-        eprintln!(
-            "stats: {} programs, {} findings, {} errored files, {:.0} programs/sec, {} jobs, cache {}/{} hit/miss ({:.1}% hit rate), disk {}/{} hit/miss ({} corrupt, {} write errors), {:.3}s elapsed",
-            s.programs,
-            s.findings,
-            errored_files,
-            s.programs_per_sec(),
-            s.jobs,
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_hit_rate() * 100.0,
-            s.persistent_hits,
-            s.persistent_misses,
-            s.persistent_corrupt,
-            s.persistent_write_errors,
-            s.elapsed.as_secs_f64(),
-        );
+        print_stats(&scan_stats, errored_files, true);
         eprintln!(
             "delta: {} tracked, {} unchanged, {} changed, {} added, {} removed, {} seeded, cone {}/{} functions ({} changed), {} functions reanalyzed, {} functions reused, {} stat fastpath",
             delta.tracked_files,
@@ -536,7 +522,7 @@ fn run_delta(
             delta.changed_files,
             delta.added_files,
             delta.removed_files,
-            seeded,
+            delta.seeded_files,
             delta.cone_functions,
             delta.tracked_functions,
             delta.changed_functions,
@@ -544,20 +530,9 @@ fn run_delta(
             delta.functions_reused,
             delta.stat_fastpath_hits,
         );
-        if let Some(t) = trace {
-            for line in t.snapshot().lines() {
-                eprintln!("{line}");
-            }
-        }
+        print_trace(trace);
     }
-
-    if had_errors {
-        ExitCode::from(2)
-    } else if any_findings {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_status(had_errors, any_findings)
 }
 
 /// The `--oracle` mode: run the analyzer/executor differential over
@@ -623,11 +598,7 @@ fn run_oracle(
             errored_files,
             records.iter().map(|r| r.report.verdicts.len()).sum::<usize>(),
         );
-        if let Some(t) = trace {
-            for line in t.snapshot().lines() {
-                eprintln!("{line}");
-            }
-        }
+        print_trace(trace);
     }
 
     let false_negatives = records
@@ -635,11 +606,5 @@ fn run_oracle(
         .flat_map(|r| &r.report.verdicts)
         .filter(|v| v.verdict == Verdict::FalseNegative)
         .count();
-    if had_errors {
-        ExitCode::from(2)
-    } else if false_negatives > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_status(had_errors, false_negatives > 0)
 }

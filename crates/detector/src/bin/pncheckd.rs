@@ -60,6 +60,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use pnew_detector::cliopts::CommonOpts;
+use pnew_detector::emit::json_string;
 use pnew_detector::server::{parse_json, JsonNode, Server, ServerConfig};
 
 const USAGE: &str = "usage: pncheckd [--listen ADDR:PORT] [--jobs N] [--min-severity LEVEL] [--disable KIND]... [--no-summaries] [--cache-dir DIR] [--cache-backend dir|indexed] [--shard K/N] [--max-request-bytes N] [--max-connections N] [--client-quota N] [--idle-timeout-secs N] [--watch ROOT]... [--watch-interval-ms N] [--watch-cycles N]";
@@ -322,23 +323,4 @@ fn watch(server: &Server, roots: &[String], interval_ms: u64, cycles: u64) -> Ex
         // simulated watch loop runs on virtual time.
         server.clock().sleep(Duration::from_millis(interval_ms));
     }
-}
-
-/// Quotes one path as a JSON string literal for the request line.
-fn json_string(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -12,11 +12,13 @@
 //! Because `.pnx` call resolution is per-program (a call site only binds
 //! to a function in the same file), the *file-level* cone of an edit is
 //! exactly the edited file — which is what makes
-//! [`BatchEngine::rescan_delta`](crate::BatchEngine::rescan_delta)
+//! [`BatchEngine::delta_scan`](crate::BatchEngine::delta_scan)
 //! sound while re-analyzing only changed files. The function-level cone
-//! computed here sizes the invalidation for `--stats`/trace, and is the
-//! object the soundness property tests check: a function whose verdict
-//! changed between two analyses must always lie inside the cone.
+//! computed here is the independent reference the soundness property
+//! tests check against (the engine's own counters come from the partial
+//! analysis, which computes its cone over the new call graph): a
+//! function whose verdict changed between two analyses must always lie
+//! inside the cone.
 //!
 //! This module also owns the **delta manifest** (`manifest.pnm`), the
 //! small text file in a `--cache-dir` that lets `pncheck --delta` carry

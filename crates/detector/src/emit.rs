@@ -90,7 +90,16 @@ pub(crate) fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
     JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-fn escape_into(text: &str, out: &mut String) {
+/// `text` as a JSON string literal, quotes included — the one escaper
+/// every envelope, header and request line goes through.
+pub fn json_string(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
+    write_string(text, &mut out);
+    out
+}
+
+fn write_string(text: &str, out: &mut String) {
+    out.push('"');
     for c in text.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -104,6 +113,7 @@ fn escape_into(text: &str, out: &mut String) {
             c => out.push(c),
         }
     }
+    out.push('"');
 }
 
 fn write_value(v: &JsonValue, indent: usize, out: &mut String) {
@@ -120,9 +130,7 @@ fn write_value(v: &JsonValue, indent: usize, out: &mut String) {
             let _ = write!(out, "{x:.1}");
         }
         JsonValue::Str(text) => {
-            out.push('"');
-            escape_into(text, out);
-            out.push('"');
+            write_string(text, out);
         }
         JsonValue::Arr(items) => {
             if items.is_empty() {
@@ -149,9 +157,8 @@ fn write_value(v: &JsonValue, indent: usize, out: &mut String) {
             out.push_str("{\n");
             for (i, (key, value)) in fields.iter().enumerate() {
                 out.push_str(&STEP.repeat(indent + 1));
-                out.push('"');
-                escape_into(key, out);
-                out.push_str("\": ");
+                write_string(key, out);
+                out.push_str(": ");
                 write_value(value, indent + 1, out);
                 if i + 1 < fields.len() {
                     out.push(',');
@@ -187,9 +194,7 @@ pub(crate) fn render_compact(v: &JsonValue) -> String {
                 let _ = write!(out, "{x:.1}");
             }
             JsonValue::Str(text) => {
-                out.push('"');
-                escape_into(text, out);
-                out.push('"');
+                write_string(text, out);
             }
             JsonValue::Arr(items) => {
                 out.push('[');
@@ -207,9 +212,8 @@ pub(crate) fn render_compact(v: &JsonValue) -> String {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    escape_into(key, out);
-                    out.push_str("\":");
+                    write_string(key, out);
+                    out.push(':');
                     write_compact(value, out);
                 }
                 out.push('}');

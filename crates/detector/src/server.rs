@@ -3,8 +3,8 @@
 //! Every one-shot `pncheck` run pays process startup, cache open, and
 //! engine construction before it analyzes a single file. A [`Server`]
 //! pays them once: it holds one [`BatchEngine`] per analyzer
-//! configuration — each with its in-memory source/program fingerprint
-//! tiers and (optionally) an open [`PersistentCache`] — across requests,
+//! configuration — each with its in-memory analysis store and
+//! (optionally) an open [`PersistentCache`] — across requests,
 //! so a warm `analyze` of unchanged text runs zero parses and zero
 //! analyses. Requests fan out onto the engine's worker pool with a
 //! per-request `jobs` override.
@@ -910,31 +910,47 @@ impl Server {
         let sources: Vec<&str> = files.iter().map(|(_, s)| s.as_str()).collect();
         let jobs = req.jobs.unwrap_or_else(|| engine.jobs());
         let (outcomes, scan_stats) = engine.scan_sources_with_stats_jobs(&sources, jobs);
-        let mut had_parse_errors = false;
         let records: Vec<FileRecord> = files
             .iter()
             .zip(outcomes)
-            .map(|((path, _), outcome)| {
-                had_parse_errors |= !outcome.errors.is_empty();
-                FileRecord { path: path.clone(), report: outcome.report, errors: outcome.errors }
+            .map(|((path, _), outcome)| FileRecord {
+                path: path.clone(),
+                report: outcome.report,
+                errors: outcome.errors,
             })
             .collect();
 
+        Ok(self.envelope_reply(id, req, &records, &scan_stats, &file_errors, None))
+    }
+
+    /// The reply of both analysis ops: the envelope `pncheck` would
+    /// print as payload, and a header with the exit code, the `delta`
+    /// counters (which also make it a `delta` reply), and any file
+    /// errors.
+    fn envelope_reply(
+        &self,
+        id: &RequestId,
+        req: &AnalyzeRequest,
+        records: &[FileRecord],
+        scan_stats: &BatchStats,
+        file_errors: &[String],
+        delta: Option<JsonValue>,
+    ) -> Reply {
         self.trace.count("server.files", records.len() as u64);
         let findings: usize =
             records.iter().filter_map(|r| r.report.as_ref()).map(|r| r.findings.len()).sum();
         self.trace.count("server.findings", findings as u64);
 
-        let payload = render_payload(req, &records, &scan_stats);
-        let exit = exit_code(&records, !file_errors.is_empty() || had_parse_errors);
-
+        let payload = render_payload(req, records, scan_stats);
+        let errored = !file_errors.is_empty() || records.iter().any(|r| !r.errors.is_empty());
         let mut header_fields = vec![
             ("schema", emit::s(PROTOCOL)),
             ("id", id.to_value()),
             ("ok", JsonValue::Bool(true)),
-            ("op", emit::s("analyze")),
-            ("exit", JsonValue::U64(exit)),
+            ("op", emit::s(if delta.is_some() { "delta" } else { "analyze" })),
+            ("exit", JsonValue::U64(exit_code(records, errored))),
         ];
+        header_fields.extend(delta.map(|d| ("delta", d)));
         if !file_errors.is_empty() {
             header_fields.push((
                 "file_errors",
@@ -942,7 +958,7 @@ impl Server {
             ));
         }
         header_fields.push(("bytes", JsonValue::U64(payload.len() as u64)));
-        Ok(Reply { header: emit::render_compact(&obj(header_fields)), payload, shutdown: false })
+        Reply { header: emit::render_compact(&obj(header_fields)), payload, shutdown: false }
     }
 
     /// Serves one `delta` request: an incremental rescan through the
@@ -962,7 +978,6 @@ impl Server {
         // engine can never snapshot a half-updated tracked index.
         let (outcomes, scan_stats, delta) = engine.delta_scan(&paths, req.changed.as_deref(), jobs);
 
-        let mut had_parse_errors = false;
         let mut records: Vec<FileRecord> = Vec::with_capacity(outcomes.len());
         for o in &outcomes {
             if let Some(e) = &o.read_error {
@@ -971,7 +986,6 @@ impl Server {
                 file_errors.push(format!("{}: {e}", o.path));
                 continue;
             }
-            had_parse_errors |= !o.errors.is_empty();
             records.push(FileRecord {
                 path: o.path.clone(),
                 report: o.analysis.as_ref().map(|a| a.report.clone()),
@@ -979,50 +993,26 @@ impl Server {
             });
         }
 
-        self.trace.count("server.files", records.len() as u64);
-        let findings: usize =
-            records.iter().filter_map(|r| r.report.as_ref()).map(|r| r.findings.len()).sum();
-        self.trace.count("server.findings", findings as u64);
         self.trace.count("server.delta-changed", (delta.changed_files + delta.added_files) as u64);
         self.trace.count("server.delta-unchanged", delta.unchanged_files as u64);
         self.trace.count("server.delta-cone-functions", delta.cone_functions as u64);
         self.trace.count("server.delta-fn-reanalyzed", delta.functions_reanalyzed as u64);
         self.trace.count("server.delta-fn-reused", delta.functions_reused as u64);
 
-        let payload = render_payload(req, &records, &scan_stats);
-        let exit = exit_code(&records, !file_errors.is_empty() || had_parse_errors);
-
-        let mut header_fields = vec![
-            ("schema", emit::s(PROTOCOL)),
-            ("id", id.to_value()),
-            ("ok", JsonValue::Bool(true)),
-            ("op", emit::s("delta")),
-            ("exit", JsonValue::U64(exit)),
-            (
-                "delta",
-                obj(vec![
-                    ("tracked", JsonValue::U64(delta.tracked_files as u64)),
-                    ("unchanged", JsonValue::U64(delta.unchanged_files as u64)),
-                    ("changed", JsonValue::U64(delta.changed_files as u64)),
-                    ("added", JsonValue::U64(delta.added_files as u64)),
-                    ("removed", JsonValue::U64(delta.removed_files as u64)),
-                    ("cone_functions", JsonValue::U64(delta.cone_functions as u64)),
-                    ("changed_functions", JsonValue::U64(delta.changed_functions as u64)),
-                    ("tracked_functions", JsonValue::U64(delta.tracked_functions as u64)),
-                    ("functions_reanalyzed", JsonValue::U64(delta.functions_reanalyzed as u64)),
-                    ("functions_reused", JsonValue::U64(delta.functions_reused as u64)),
-                    ("stat_fastpath_hits", JsonValue::U64(delta.stat_fastpath_hits as u64)),
-                ]),
-            ),
-        ];
-        if !file_errors.is_empty() {
-            header_fields.push((
-                "file_errors",
-                JsonValue::Arr(file_errors.iter().map(|e| emit::s(e.clone())).collect()),
-            ));
-        }
-        header_fields.push(("bytes", JsonValue::U64(payload.len() as u64)));
-        Reply { header: emit::render_compact(&obj(header_fields)), payload, shutdown: false }
+        let counters = obj(vec![
+            ("tracked", JsonValue::U64(delta.tracked_files as u64)),
+            ("unchanged", JsonValue::U64(delta.unchanged_files as u64)),
+            ("changed", JsonValue::U64(delta.changed_files as u64)),
+            ("added", JsonValue::U64(delta.added_files as u64)),
+            ("removed", JsonValue::U64(delta.removed_files as u64)),
+            ("cone_functions", JsonValue::U64(delta.cone_functions as u64)),
+            ("changed_functions", JsonValue::U64(delta.changed_functions as u64)),
+            ("tracked_functions", JsonValue::U64(delta.tracked_functions as u64)),
+            ("functions_reanalyzed", JsonValue::U64(delta.functions_reanalyzed as u64)),
+            ("functions_reused", JsonValue::U64(delta.functions_reused as u64)),
+            ("stat_fastpath_hits", JsonValue::U64(delta.stat_fastpath_hits as u64)),
+        ]);
+        self.envelope_reply(id, req, &records, &scan_stats, &file_errors, Some(counters))
     }
 
     /// The `pncheckd-stats/1` payload: request counters, connection

@@ -19,7 +19,9 @@
 //! requests queue through [`FairQueue`] under the real quota rules,
 //! jobs execute through [`Server::handle_line`], and idle connections
 //! are reaped through the *same* predicate the TCP loop uses — all on
-//! virtual time, with no real sleeps anywhere.
+//! virtual time, with no real sleeps anywhere. Between reads the corpus
+//! churns: files are added, removed, edited, and reflowed (re-laid out
+//! with the same pretty form, so every span moves).
 //!
 //! The persistent tier runs behind [`FaultyBackend`], which applies a
 //! seeded [`FaultPlan`] of short (torn) writes, bit flips, disk-full
@@ -61,6 +63,7 @@ use crate::analysis::AnalyzerConfig;
 use crate::backend::{BackendKind, CacheBackend, DirBackend, IndexedBackend};
 use crate::cache::{fnv128, CacheLookup, PersistentCache, SUMMARY_STORE_KEY};
 use crate::clock::{Clock, SimClock};
+use crate::emit::json_string;
 use crate::eventloop::{FairQueue, Frame, LineFramer, Poller, PushError};
 use crate::server::{
     idle_reapable, parse_json, BackendWrap, JsonNode, Reply, Server, ServerConfig,
@@ -362,39 +365,52 @@ impl CacheBackend for FaultyBackend {
 // The workload generator.
 // ---------------------------------------------------------------------
 
-/// Renders one generated `.pnx` workload source. Every file has
-/// exactly [`FUNCTIONS_PER_FILE`] functions; the vulnerable variant
-/// places an oversized `GradStudent` into a `Student`-sized local —
-/// the paper's motivating shape — and the safe variant places a
-/// fitting `Student`. `version` and `pad` guarantee distinct content
-/// (and lengths) across edits, so stat-based drift detection fires
-/// deterministically.
-fn render_source(uid: u64, version: u64, vulnerable: bool, big: u64, pad: u64) -> String {
-    let place = if vulnerable { "GradStudent" } else { "Student" };
-    let mut text = format!(
-        "program sim-{uid}-v{version};\n\
-         \n\
-         class Student size 16;\n\
-         class GradStudent size {big} : Student;\n\
-         \n\
-         fn check_input(count: int) {{\n    local n: int;\n    read n;\n}}\n\
-         \n\
-         fn place_record(count: int) {{\n    local stud: Student;\n    local st: ptr;\n    st = new (&stud) {place}();\n}}\n\
-         \n\
-         fn main() {{\n    local n: int;\n    read n;\n    call check_input(n);\n    call place_record(n);\n}}\n"
-    );
-    for _ in 0..pad {
-        text.push('\n');
-    }
-    text
-}
-
 /// One generated file's current state on disk.
+#[derive(Default)]
 struct CorpusFile {
     path: PathBuf,
     uid: u64,
     version: u64,
+    vulnerable: bool,
+    big: u64,
+    pad: u64,
+    layout: u64,
     len: usize,
+}
+
+impl CorpusFile {
+    /// Renders the file's `.pnx` workload source. Every file has
+    /// exactly [`FUNCTIONS_PER_FILE`] functions; the vulnerable variant
+    /// places an oversized `GradStudent` into a `Student`-sized local —
+    /// the paper's motivating shape — and the safe variant places a
+    /// fitting `Student`. `version` and `pad` guarantee distinct
+    /// content (and lengths) across edits, so stat-based drift
+    /// detection fires deterministically. `layout` only moves text:
+    /// that many leading blank lines, and two-space instead of
+    /// four-space bodies when odd. Layouts of one file share their
+    /// pretty form but no span.
+    fn render(&self) -> String {
+        let CorpusFile { uid, version, big, .. } = self;
+        let place = if self.vulnerable { "GradStudent" } else { "Student" };
+        let i = if self.layout % 2 == 1 { "  " } else { "    " };
+        let mut text = "\n".repeat(self.layout as usize);
+        text.push_str(&format!(
+            "program sim-{uid}-v{version};\n\
+             \n\
+             class Student size 16;\n\
+             class GradStudent size {big} : Student;\n\
+             \n\
+             fn check_input(count: int) {{\n{i}local n: int;\n{i}read n;\n}}\n\
+             \n\
+             fn place_record(count: int) {{\n{i}local stud: Student;\n{i}local st: ptr;\n{i}st = new (&stud) {place}();\n}}\n\
+             \n\
+             fn main() {{\n{i}local n: int;\n{i}read n;\n{i}call check_input(n);\n{i}call place_record(n);\n}}\n"
+        ));
+        for _ in 0..self.pad {
+            text.push('\n');
+        }
+        text
+    }
 }
 
 /// The scratch corpus: generated files plus the seeded edit machinery.
@@ -416,15 +432,20 @@ impl Corpus {
 
     fn write_file(&mut self, index: usize, rng: &mut SimRng) -> io::Result<()> {
         let file = &mut self.files[index];
-        let vulnerable = rng.below(2) == 0;
-        let big = 32 + 16 * rng.below(3);
-        let mut pad = rng.below(4);
-        let mut text = render_source(file.uid, file.version, vulnerable, big, pad);
-        // Edits must change the byte length, so change detection never
-        // depends on filesystem timestamp granularity.
+        file.vulnerable = rng.below(2) == 0;
+        file.big = 32 + 16 * rng.below(3);
+        file.pad = rng.below(4);
+        Self::store(file)
+    }
+
+    /// Writes `file` as it now renders. Edits must change the byte
+    /// length, so change detection never depends on filesystem
+    /// timestamp granularity.
+    fn store(file: &mut CorpusFile) -> io::Result<()> {
+        let mut text = file.render();
         while text.len() == file.len {
-            pad += 1;
-            text = render_source(file.uid, file.version, vulnerable, big, pad);
+            file.pad += 1;
+            text = file.render();
         }
         debug_assert!(crate::parse::parse_program(&text).is_ok(), "generator must parse");
         file.len = text.len();
@@ -435,8 +456,17 @@ impl Corpus {
         let uid = self.next_uid;
         self.next_uid += 1;
         let path = self.dir.join(format!("gen-{uid:03}.pnx"));
-        self.files.push(CorpusFile { path, uid, version: 0, len: 0 });
+        self.files.push(CorpusFile { path, uid, ..CorpusFile::default() });
         self.write_file(self.files.len() - 1, rng)
+    }
+
+    /// Re-lays a file out without changing its program: the pretty form
+    /// stays, every span moves, so a tier that keys on the pretty form
+    /// would serve the old spans.
+    fn reflow_file(&mut self, rng: &mut SimRng) -> io::Result<()> {
+        let index = rng.below(self.files.len() as u64) as usize;
+        self.files[index].layout += 1;
+        Self::store(&mut self.files[index])
     }
 
     fn edit_file(&mut self, rng: &mut SimRng) -> io::Result<()> {
@@ -593,24 +623,6 @@ impl SimConn {
     }
 }
 
-/// Escapes one string as a JSON literal (paths are plain ASCII here,
-/// but stay correct regardless).
-fn json_quote(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// One phase's traffic: per-connection `(byte script, end kind)` pairs
 /// plus the map from request line to its verification spec.
 type Traffic = (Vec<(Vec<u8>, EndKind)>, HashMap<String, CheckSpec>);
@@ -649,10 +661,10 @@ fn build_traffic(
             // Weighted mix: delta-heavy, stats/ping/hostile sprinkled.
             0 | 1 => {
                 let target = if rng.below(2) == 0 {
-                    json_quote(&dir)
+                    json_string(&dir)
                 } else {
                     let pick = rng.below(corpus.files.len() as u64) as usize;
-                    json_quote(&corpus.files[pick].path.to_string_lossy())
+                    json_string(&corpus.files[pick].path.to_string_lossy())
                 };
                 let line =
                     format!("{{\"op\":\"analyze\",\"id\":{id},\"paths\":[{target}]{extras}}}");
@@ -661,8 +673,14 @@ fn build_traffic(
                 line
             }
             2 => {
-                let source = render_source(900 + rng.below(8), 0, rng.below(2) == 0, 48, 0);
-                let quoted = json_quote(&source);
+                let source = CorpusFile {
+                    uid: 900 + rng.below(8),
+                    vulnerable: rng.below(2) == 0,
+                    big: 48,
+                    ..CorpusFile::default()
+                }
+                .render();
+                let quoted = json_string(&source);
                 let line =
                     format!("{{\"op\":\"analyze\",\"id\":{id},\"source\":{quoted}{extras}}}");
                 let reference = format!("{{\"op\":\"analyze\",\"source\":{quoted}{extras}}}");
@@ -670,7 +688,7 @@ fn build_traffic(
                 line
             }
             3..=6 => {
-                let target = json_quote(&dir);
+                let target = json_string(&dir);
                 let line = format!("{{\"op\":\"delta\",\"id\":{id},\"paths\":[{target}]{extras}}}");
                 let reference = format!("{{\"op\":\"analyze\",\"paths\":[{target}]{extras}}}");
                 checks.insert(line.clone(), CheckSpec { reference_line: reference, delta: true });
@@ -1129,6 +1147,7 @@ fn run_phase(ctx: PhaseContext<'_>) {
                 let _ = match rng.below(6) {
                     0 => corpus.add_file(rng),
                     1 => corpus.remove_file(rng),
+                    3 => corpus.reflow_file(rng),
                     _ => corpus.edit_file(rng),
                 };
             }
@@ -1390,9 +1409,25 @@ mod tests {
     fn generated_sources_parse_with_exactly_three_functions() {
         for uid in 0..4 {
             for vulnerable in [false, true] {
-                let text = render_source(uid, uid, vulnerable, 48, uid % 3);
+                let file = CorpusFile {
+                    uid,
+                    version: uid,
+                    vulnerable,
+                    big: 48,
+                    pad: uid % 3,
+                    ..CorpusFile::default()
+                };
+                let text = file.render();
                 let program = crate::parse::parse_program(&text).expect("generator parses");
                 assert_eq!(program.functions.len(), FUNCTIONS_PER_FILE as usize);
+                // Every layout is the same program with different spans.
+                let reflowed = CorpusFile { layout: 1 + uid, ..file }.render();
+                let again = crate::parse::parse_program(&reflowed).expect("reflow parses");
+                assert_eq!(crate::pretty::pretty(&again), crate::pretty::pretty(&program));
+                assert_ne!(
+                    again.functions[0].body[0].site().span,
+                    program.functions[0].body[0].site().span
+                );
             }
         }
     }

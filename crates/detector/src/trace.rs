@@ -26,7 +26,7 @@
 //! let program = p.build();
 //!
 //! let trace = TraceCollector::new();
-//! let report = Analyzer::new().analyze_traced(&program, &trace);
+//! let report = Analyzer::new().analyze_full(&program, Some(&trace), None).report;
 //! assert!(report.detected());
 //! let snap = trace.snapshot();
 //! assert_eq!(snap.counters["analysis.programs"], 1);

@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
+use pnew_detector::emit::json_string;
 use pnew_detector::server::{parse_json, JsonNode, Server, ServerConfig};
 
 const PNCHECKD: &str = env!("CARGO_BIN_EXE_pncheckd");
@@ -69,27 +70,8 @@ fn int_field(fields: &[(String, JsonNode)], name: &str) -> i64 {
     }
 }
 
-/// JSON string literal with full escaping — the client side of the
-/// protocol, written independently of the server's serializer.
-fn json_str(text: &str) -> String {
-    let mut out = String::from("\"");
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn analyze_paths_request(id: u64, path: &str) -> String {
-    format!("{{\"op\":\"analyze\",\"id\":{id},\"paths\":[{}]}}\n", json_str(path))
+    format!("{{\"op\":\"analyze\",\"id\":{id},\"paths\":[{}]}}\n", json_string(path))
 }
 
 // ---------------------------------------------------------------------
@@ -206,7 +188,7 @@ fn stdio_analyze_is_byte_identical_to_one_shot_pncheck() {
     stdin.write_all(analyze_paths_request(1, EXAMPLES).as_bytes()).unwrap();
     let sarif_request = format!(
         "{{\"op\":\"analyze\",\"id\":2,\"paths\":[{}],\"format\":\"sarif\"}}\n",
-        json_str(EXAMPLES)
+        json_string(EXAMPLES)
     );
     stdin.write_all(sarif_request.as_bytes()).unwrap();
     drop(stdin); // EOF ends the session cleanly
@@ -240,7 +222,7 @@ fn inline_source_matches_pncheck_reading_stdin() {
     let cli_json = String::from_utf8_lossy(&cli_out.stdout).into_owned();
 
     let server = Server::new(ServerConfig::default()).expect("server builds");
-    let request = format!("{{\"op\":\"analyze\",\"id\":7,\"source\":{}}}", json_str(VULNERABLE));
+    let request = format!("{{\"op\":\"analyze\",\"id\":7,\"source\":{}}}", json_string(VULNERABLE));
     let reply = server.handle_line(&request);
     assert_eq!(reply.payload, cli_json, "inline source envelope differs from pncheck -");
     assert!(reply.header.contains("\"exit\":1"), "{}", reply.header);
@@ -568,8 +550,8 @@ fn concurrent_clients_get_deterministic_per_request_results() {
                         let id = format!("t{t}-r{r}");
                         let line = format!(
                             "{{\"op\":\"analyze\",\"id\":{},\"source\":{}}}\n",
-                            json_str(&id),
-                            json_str(&sources[which])
+                            json_string(&id),
+                            json_string(&sources[which])
                         );
                         writer.write_all(line.as_bytes()).unwrap();
                         let (header, payload) = read_reply(&mut reader);
@@ -630,8 +612,8 @@ proptest! {
         let server = Server::new(ServerConfig::default()).expect("server builds");
         let line = format!(
             "{{\"op\":\"analyze\",\"id\":{},\"source\":{}}}",
-            json_str(&id),
-            json_str(&source)
+            json_string(&id),
+            json_string(&source)
         );
         let reply = server.handle_line(&line);
         prop_assert!(!reply.header.contains('\n'), "header must be one line");

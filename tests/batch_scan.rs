@@ -10,8 +10,8 @@ fn findings_are_identical_and_ordered_regardless_of_jobs() {
 
     let serial_engine = BatchEngine::new(Analyzer::new()).with_jobs(1);
     let parallel_engine = BatchEngine::new(Analyzer::new()).with_jobs(8);
-    let serial = serial_engine.scan(&programs);
-    let parallel = parallel_engine.scan(&programs);
+    let serial = serial_engine.scan_with_stats(&programs).0;
+    let parallel = parallel_engine.scan_with_stats(&programs).0;
 
     // Reports come back in input order…
     assert_eq!(serial.len(), programs.len());

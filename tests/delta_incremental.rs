@@ -5,13 +5,15 @@
 //! from-scratch scan:
 //!
 //! * **envelope identity** — the `pncheck-report/1` JSON and the SARIF
-//!   rendered from `rescan_delta` outcomes are byte-identical to the
+//!   rendered from `delta_scan` outcomes are byte-identical to the
 //!   ones a fresh engine produces for the same tree, whether the rescan
 //!   found the edits by stat drift (no hint) or was told about them
 //!   (accurate hint);
 //! * **cone soundness** — every function whose summary record changed
 //!   across an edit, and every transitive caller of one, lands inside
-//!   the invalidation cone reported by `invalidation_cone`.
+//!   the invalidation cone reported by `invalidation_cone`; and the cone
+//!   the partial analysis reports (the functions it re-walked) covers
+//!   every member of that independent cone that still exists.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -21,8 +23,9 @@ use proptest::prelude::*;
 use placement_new_attacks::corpus::workload;
 use placement_new_attacks::detector::emit::{render_json, render_sarif, FileRecord};
 use placement_new_attacks::detector::{
-    invalidation_cone, pretty_program, Analyzer, AnalyzerConfig, BackendKind, BatchEngine, CmpOp,
-    Expr, FunctionSummaryRecord, PersistentCache, ProgramBuilder, TrackedOutcome, Ty,
+    invalidation_cone, parse_program, pretty_program, Analyzer, AnalyzerConfig, BackendKind,
+    BatchEngine, CmpOp, Expr, FunctionSummaryRecord, PersistentCache, ProgramBuilder,
+    TrackedOutcome, Ty,
 };
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -57,7 +60,7 @@ fn envelopes(outcomes: &[TrackedOutcome]) -> (String, String) {
 /// The from-scratch reference: a fresh engine over the same paths.
 fn reference_envelopes(paths: &[String]) -> (String, String) {
     let engine = BatchEngine::new(Analyzer::new());
-    let (outcomes, _) = engine.scan_paths_tracked(paths);
+    let (outcomes, _, _) = engine.delta_scan(paths, None, engine.jobs());
     envelopes(&outcomes)
 }
 
@@ -136,7 +139,7 @@ proptest! {
             .collect();
 
         let engine = BatchEngine::new(Analyzer::new());
-        let (cold, _) = engine.scan_paths_tracked(&paths);
+        let (cold, _, _) = engine.delta_scan(&paths, None, engine.jobs());
         prop_assert_eq!(envelopes(&cold), reference_envelopes(&paths));
 
         for (slot, variant, use_hint) in edits {
@@ -144,7 +147,7 @@ proptest! {
             std::fs::write(&paths[i], slot_text(i, n, variant)).unwrap();
             let hint = vec![paths[i].clone()];
             let hinted: Option<&[String]> = use_hint.then_some(hint.as_slice());
-            let (warm, _, delta) = engine.rescan_delta(&paths, hinted);
+            let (warm, _, delta) = engine.delta_scan(&paths, hinted, engine.jobs());
             prop_assert!(
                 delta.changed_files <= 1,
                 "one edit, at most one changed file: {delta:?}"
@@ -188,7 +191,7 @@ proptest! {
             let engine = BatchEngine::new(Analyzer::new())
                 .with_jobs(jobs)
                 .with_persistent_cache(cache);
-            let (cold, _) = engine.scan_paths_tracked(&paths);
+            let (cold, _, _) = engine.delta_scan(&paths, None, engine.jobs());
             prop_assert_eq!(envelopes(&cold), reference_envelopes(&paths));
 
             let mut generation = 0usize;
@@ -215,7 +218,7 @@ proptest! {
                     _ => specs[k].has_param = !specs[k].has_param,
                 }
                 std::fs::write(&path, render_model(&specs)).unwrap();
-                let (warm, _, delta) = engine.rescan_delta(&paths, None);
+                let (warm, _, delta) = engine.delta_scan(&paths, None, engine.jobs());
                 if delta.changed_files == 1 {
                     // Partial or full, the per-function accounting must
                     // cover the whole file.
@@ -255,11 +258,11 @@ proptest! {
         let paths = vec![path.to_string_lossy().into_owned()];
 
         let engine = BatchEngine::new(Analyzer::new());
-        let (cold, _) = engine.scan_paths_tracked(&paths);
+        let (cold, _, _) = engine.delta_scan(&paths, None, engine.jobs());
         let old = summaries(&cold[0]);
 
         std::fs::write(&path, &new_src).unwrap();
-        let (warm, _, _) = engine.rescan_delta(&paths, None);
+        let (warm, _, delta) = engine.delta_scan(&paths, None, engine.jobs());
         let new = summaries(&warm[0]);
         let (cone, stats) = invalidation_cone(&old, &new);
 
@@ -290,6 +293,31 @@ proptest! {
             }
         }
         prop_assert_eq!(stats.cone_functions, cone.len());
+
+        // The partial analysis reports its own cone, with no second
+        // pass: it must cover every independent-cone member that still
+        // exists, and its changed set every function whose fingerprint
+        // moved or that is new.
+        let live = cone.iter().filter(|f| new.iter().any(|r| &r.function == *f)).count();
+        let moved = new
+            .iter()
+            .filter(|r| {
+                old.iter().find(|o| o.function == r.function).is_none_or(|o| o.fingerprint != r.fingerprint)
+            })
+            .count();
+        prop_assert!(delta.cone_functions >= live, "delta cone {} < {live}: {delta:?}", delta.cone_functions);
+        prop_assert_eq!(delta.cone_functions, delta.functions_reanalyzed);
+        prop_assert_eq!(delta.functions_reanalyzed + delta.functions_reused, new.len());
+        let old_analysis = cold[0].analysis.as_ref().unwrap();
+        let program = parse_program(&new_src).unwrap();
+        if let Some(p) = Analyzer::new().analyze_partial(&program, old_analysis, None) {
+            let reanalyzed = p.functions_reanalyzed as usize;
+            prop_assert!(reanalyzed >= live, "partial cone {reanalyzed} misses the cone of {live}");
+            prop_assert!(p.functions_changed as usize >= moved);
+            prop_assert!(p.functions_changed <= p.functions_reanalyzed);
+            prop_assert_eq!(reanalyzed + p.functions_reused as usize, new.len());
+            prop_assert_eq!(&p.analysis.summaries, &new);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

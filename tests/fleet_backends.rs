@@ -5,7 +5,7 @@
 //! differ **only** in `--cache-backend`. Every protocol observation —
 //! cold and warm `analyze` envelopes in json and sarif, cold and warm
 //! `delta` envelopes, exit codes, and the complete `analysis` counter
-//! block of the `stats` op (fingerprint tiers, parse counts, and the
+//! block of the `stats` op (store counters, parse counts, and the
 //! persistent hit/miss/store accounting) — must be byte-identical
 //! between the two. A restart over each populated cache must then serve
 //! the whole tree from disk with zero parses.
@@ -19,27 +19,9 @@
 use std::path::{Path, PathBuf};
 
 use placement_new_attacks::corpus::workload;
+use placement_new_attacks::detector::emit::json_string;
 use placement_new_attacks::detector::server::{parse_json, JsonNode, Server, ServerConfig};
 use placement_new_attacks::detector::{pretty_program, BackendKind};
-
-/// JSON string literal, written independently of the server's
-/// serializer (the client side of the protocol).
-fn json_str(text: &str) -> String {
-    let mut out = String::from("\"");
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 struct TempTree {
     root: PathBuf,
@@ -64,7 +46,7 @@ impl TempTree {
                 path.to_string_lossy().into_owned()
             })
             .collect();
-        let quoted: Vec<String> = paths.iter().map(|p| json_str(p)).collect();
+        let quoted: Vec<String> = paths.iter().map(|p| json_string(p)).collect();
         TempTree { root, path_list: format!("[{}]", quoted.join(",")), files: paths.len() }
     }
 }

@@ -74,7 +74,7 @@ fn guarded_scan_is_byte_deterministic_across_jobs_and_summary_modes() {
     let render = |jobs: usize, use_summaries: bool| {
         let analyzer =
             Analyzer::with_config(AnalyzerConfig { use_summaries, ..Default::default() });
-        let reports = BatchEngine::new(analyzer).with_jobs(jobs).scan(&programs);
+        let reports = BatchEngine::new(analyzer).with_jobs(jobs).scan_with_stats(&programs).0;
         let records: Vec<FileRecord> = reports
             .into_iter()
             .enumerate()

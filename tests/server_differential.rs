@@ -14,7 +14,7 @@
 //! warm — and the header's `exit` must mirror the CLI's exit-code rule.
 
 use placement_new_attacks::corpus::workload;
-use placement_new_attacks::detector::emit::{render_json, FileRecord};
+use placement_new_attacks::detector::emit::{json_string, render_json, FileRecord};
 use placement_new_attacks::detector::server::{parse_json, JsonNode, Server, ServerConfig};
 use placement_new_attacks::detector::{pretty_program, Analyzer, BatchEngine, Severity};
 
@@ -36,23 +36,6 @@ fn one_shot_envelope(source: &str) -> (String, u64) {
     (render_json(std::slice::from_ref(&record), None, None), exit)
 }
 
-fn json_str(text: &str) -> String {
-    let mut out = String::from("\"");
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[test]
 fn daemon_envelopes_match_one_shot_analysis_over_200_corpus_programs() {
     let programs = workload::corpus(1, 200);
@@ -67,7 +50,7 @@ fn daemon_envelopes_match_one_shot_analysis_over_200_corpus_programs() {
             let request = format!(
                 "{{\"op\":\"analyze\",\"id\":{},\"source\":{}}}",
                 round * 1000 + i,
-                json_str(&source)
+                json_string(&source)
             );
             let reply = server.handle_line(&request);
             if reply.payload != reference {
@@ -137,7 +120,7 @@ fn daemon_delta_envelopes_match_full_scans_across_edit_rounds() {
             path.to_string_lossy().into_owned()
         })
         .collect();
-    let path_args: Vec<String> = paths.iter().map(|p| json_str(p)).collect();
+    let path_args: Vec<String> = paths.iter().map(|p| json_string(p)).collect();
     let path_list = format!("[{}]", path_args.join(","));
 
     let server = Server::new(ServerConfig::default()).expect("server builds");
@@ -145,7 +128,7 @@ fn daemon_delta_envelopes_match_full_scans_across_edit_rounds() {
         let request = match changed {
             None => format!("{{\"op\":\"delta\",\"paths\":{path_list}}}"),
             Some(idx) => {
-                let hint: Vec<String> = idx.iter().map(|&i| json_str(&paths[i])).collect();
+                let hint: Vec<String> = idx.iter().map(|&i| json_string(&paths[i])).collect();
                 format!(
                     "{{\"op\":\"delta\",\"paths\":{path_list},\"changed\":[{}]}}",
                     hint.join(",")
@@ -206,11 +189,11 @@ fn concurrent_delta_and_analyze_clients_never_see_a_torn_tracked_index() {
             path.to_string_lossy().into_owned()
         })
         .collect();
-    let path_args: Vec<String> = paths.iter().map(|p| json_str(p)).collect();
+    let path_args: Vec<String> = paths.iter().map(|p| json_string(p)).collect();
     let path_list = format!("[{}]", path_args.join(","));
     let delta_request = format!("{{\"op\":\"delta\",\"paths\":{path_list}}}");
     let analyze_request =
-        format!("{{\"op\":\"analyze\",\"source\":{}}}", json_str(&pretty_program(&programs[0])));
+        format!("{{\"op\":\"analyze\",\"source\":{}}}", json_string(&pretty_program(&programs[0])));
     let (reference, _) = full_scan_envelope(&paths);
 
     let server = Server::new(ServerConfig::default()).expect("server builds");

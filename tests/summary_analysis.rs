@@ -4,8 +4,8 @@
 
 use placement_new_attacks::corpus::workload;
 use placement_new_attacks::detector::{
-    Analyzer, AnalyzerConfig, BatchEngine, Expr, FindingKind, Matrix, Oracle, PersistentCache,
-    Program, ProgramBuilder, Severity, Ty,
+    parse_program, source_fingerprint, Analyzer, AnalyzerConfig, BatchEngine, CacheLookup, Expr,
+    FindingKind, Matrix, Oracle, PersistentCache, Program, ProgramBuilder, Severity, Ty,
 };
 
 fn summary_analyzer() -> Analyzer {
@@ -174,10 +174,16 @@ fn warm_persistent_cache_reproduces_the_corpus_scan_exactly() {
     assert_eq!(warm_stats.persistent_hits as usize, sources.len(), "warm run must be 100% hits");
     assert_eq!(warm_stats.persistent_misses, 0);
     assert_eq!(warm_stats.cache_misses, 0, "nothing may reach the analyzer on a warm run");
-    for (a, b) in first.iter().zip(&second) {
+    // The stored summary records are the ones a fresh analysis computes.
+    let disk = warm.persistent_cache().unwrap();
+    for ((source, a), b) in sources.iter().zip(&first).zip(&second) {
         assert_eq!(a.report, b.report);
-        assert_eq!(a.summaries, b.summaries);
         assert!(b.from_disk_cache);
+        let CacheLookup::Hit(stored) = disk.get(source_fingerprint(source)) else {
+            panic!("the cold scan stored every entry");
+        };
+        let program = parse_program(source).unwrap();
+        assert_eq!(stored.summaries, Analyzer::new().analyze_full(&program, None, None).summaries);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
