@@ -109,7 +109,7 @@ fn main() -> ExitCode {
         let report = run_schedule(seed, &options_for(&args, "soak"));
         println!(
             "dst: seed {seed} backend={} phases={} requests={} replies={} checks={} \
-             faults={} corrupt={} reaped={} digest={:032x}",
+             faults={} corrupt={} reaped={} too_large={} quota={} digest={:032x}",
             report.backend,
             report.phases,
             report.requests_sent,
@@ -118,6 +118,8 @@ fn main() -> ExitCode {
             report.faults_injected,
             report.corrupt_detected,
             report.reaped,
+            report.too_large_replies,
+            report.quota_replies,
             report.payload_digest,
         );
         if report.ok() {
@@ -133,11 +135,14 @@ fn main() -> ExitCode {
     let mut checks = 0usize;
     let mut faults = 0u64;
     let mut corrupt = 0u64;
+    let (mut too_large, mut quota) = (0usize, 0usize);
     for seed in args.seed_base..args.seed_base + args.seeds {
         let report = run_schedule(seed, &opts);
         checks += report.payload_checks + report.identity_checks;
         faults += report.faults_injected;
         corrupt += report.corrupt_detected;
+        too_large += report.too_large_replies;
+        quota += report.quota_replies;
         if !report.ok() {
             failed += 1;
             print_failure(&report);
@@ -147,7 +152,8 @@ fn main() -> ExitCode {
     }
     println!(
         "dst: {} schedules, {failed} failed, {checks} invariant checks, \
-         {faults} faults injected, {corrupt} corrupt entries detected and healed",
+         {faults} faults injected, {corrupt} corrupt entries detected and healed, \
+         {too_large} too-large and {quota} quota-exceeded replies delivered",
         args.seeds
     );
     if args.expect_catch {

@@ -5,12 +5,12 @@
 //! error. This module holds the std-only building blocks the rewritten
 //! accept loop composes instead:
 //!
-//! * [`Poller`] / [`TickPoller`] — the loop blocks here between ticks
-//!   and worker threads wake it when a reply is ready. `TickPoller` is
-//!   a `Mutex` + `Condvar` pair: portable, `forbid(unsafe_code)`-clean,
-//!   and deliberately the *only* platform-specific seam — an
-//!   epoll/kqueue backend would implement the same two methods and
-//!   replace the fixed tick with true socket readiness.
+//! * [`TickPoller`] — the loop blocks here between ticks and worker
+//!   threads wake it when a reply is ready. It is a `Mutex` + `Condvar`
+//!   pair: portable, `forbid(unsafe_code)`-clean, and deliberately the
+//!   *only* platform-specific seam — an epoll/kqueue backend would
+//!   offer the same two methods and replace the fixed tick with true
+//!   socket readiness.
 //! * [`FairQueue`] — a per-client request queue drained round-robin by
 //!   the worker pool, so one chatty client cannot starve the rest.
 //!   Each client is bounded by a quota over its queued **plus**
@@ -20,18 +20,17 @@
 //!   queued or in flight?" — the question the idle reaper must ask
 //!   before closing a connection, because a connection waiting on a
 //!   slow analysis is *busy*, not idle.
-//! * [`LineFramer`] — incremental newline framing over non-blocking
-//!   reads, with the same bounded-line semantics as the blocking
-//!   reader: an oversized line is discarded through its newline and
+//! * [`LineFramer`] — incremental newline framing over arbitrary read
+//!   chunks, for the event loop's non-blocking sockets and for stdio
+//!   alike: an oversized line is discarded through its newline and
 //!   surfaces as one [`Frame::TooLong`], and the connection stays
 //!   request-aligned.
 //!
-//! All three pieces are exercised two ways: by the live TCP loop in
-//! [`crate::server`], and by the deterministic simulation harness in
-//! [`crate::sim`], which drives the same `FairQueue` + `LineFramer`
-//! composition from seeded byte schedules on a virtual clock (its
-//! `SimPoller` implements [`Poller`] by advancing simulated time
-//! instead of blocking).
+//! The connection code that composes them lives in [`crate::server`].
+//! The deterministic simulation harness ([`crate::sim`]) runs that same
+//! code — framing, admission, quota, output buffers, idle reaping —
+//! over scripted in-memory streams on a virtual clock, in place of TCP
+//! sockets and this poller.
 //!
 //! [`ServerConfig::max_connections`]: crate::server::ServerConfig::max_connections
 
@@ -43,34 +42,26 @@ use std::time::Duration;
 // Poller.
 // ---------------------------------------------------------------------
 
-/// Blocks the event loop between ticks and lets other threads wake it.
-///
-/// Wake-ups are level-style: a [`wake`](Poller::wake) with no waiter
-/// pending makes the *next* [`wait`](Poller::wait) return immediately,
-/// so a completion can never be lost between ticks.
-pub trait Poller: Send + Sync {
-    /// Blocks until woken or until `timeout` elapses. Returns `true`
-    /// when a wake-up was consumed.
-    fn wait(&self, timeout: Duration) -> bool;
-    /// Wakes the current (or next) [`wait`](Poller::wait).
-    fn wake(&self);
-}
-
-/// The portable [`Poller`]: a mutex-guarded flag and a condvar.
+/// Blocks the event loop between ticks and lets other threads wake it:
+/// a mutex-guarded flag and a condvar.
 ///
 /// Without `unsafe` there is no `epoll`/`kqueue`, so socket readiness
 /// is approximated by a short tick — the loop probes every socket with
 /// non-blocking reads each time `wait` returns. Replies still flush
-/// with low latency because workers [`wake`](Poller::wake) the loop the
-/// moment one is ready.
+/// with low latency because workers [`wake`](TickPoller::wake) the loop
+/// the moment one is ready. Wake-ups are level-style: a `wake` with no
+/// waiter pending makes the *next* [`wait`](TickPoller::wait) return
+/// immediately, so a completion can never be lost between ticks.
 #[derive(Debug, Default)]
 pub struct TickPoller {
     woken: Mutex<bool>,
     cond: Condvar,
 }
 
-impl Poller for TickPoller {
-    fn wait(&self, timeout: Duration) -> bool {
+impl TickPoller {
+    /// Blocks until woken or until `timeout` elapses. Returns `true`
+    /// when a wake-up was consumed.
+    pub fn wait(&self, timeout: Duration) -> bool {
         let guard = self.woken.lock().unwrap_or_else(|e| e.into_inner());
         let (mut woken, _) = self
             .cond
@@ -79,7 +70,8 @@ impl Poller for TickPoller {
         std::mem::take(&mut *woken)
     }
 
-    fn wake(&self) {
+    /// Wakes the current (or next) [`wait`](TickPoller::wait).
+    pub fn wake(&self) {
         *self.woken.lock().unwrap_or_else(|e| e.into_inner()) = true;
         self.cond.notify_one();
     }
@@ -229,10 +221,10 @@ pub enum Frame {
 
 /// Reassembles newline-delimited requests from arbitrary read chunks.
 ///
-/// Mirrors the blocking reader's bounds: a line of exactly `max` bytes
-/// passes, one byte more is discarded (cheaply — oversized bytes are
-/// dropped as they arrive, never buffered) and reported as a single
-/// [`Frame::TooLong`] once its newline shows up.
+/// A line of exactly `max` bytes passes; one byte more is discarded
+/// (cheaply — oversized bytes are dropped as they arrive, never
+/// buffered) and reported as a single [`Frame::TooLong`] once its
+/// newline shows up.
 #[derive(Debug, Default)]
 pub struct LineFramer {
     buf: Vec<u8>,

@@ -71,13 +71,13 @@
 //! cache backend ([`ServerConfig::cache_backend`], CLI
 //! `--cache-backend dir|indexed`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
@@ -88,7 +88,7 @@ use crate::cache::{config_tag, PersistentCache};
 use crate::cliopts;
 use crate::clock::{Clock, SystemClock};
 use crate::emit::{self, obj, FileRecord, JsonValue, OutputFormat};
-use crate::eventloop::{FairQueue, Frame, LineFramer, Poller, PushError, TickPoller};
+use crate::eventloop::{FairQueue, Frame, LineFramer, PushError, TickPoller};
 use crate::trace::TraceCollector;
 
 /// The protocol name and version announced in every response header.
@@ -687,14 +687,6 @@ impl Reply {
         Reply { header: emit::render_compact(&header), payload: String::new(), shutdown: false }
     }
 
-    /// A transport-level protocol error with no request id — the same
-    /// shape the TCP loop writes for `too-large` / `idle-timeout` /
-    /// `quota-exceeded` conditions. The DST harness uses this to
-    /// mirror those replies over its simulated transport.
-    pub(crate) fn protocol_error(code: &'static str, message: &str) -> Reply {
-        Reply::error(&RequestId::None, &RequestError::new(code, message))
-    }
-
     /// Writes the framed reply: header line, newline, payload bytes.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         w.write_all(self.header.as_bytes())?;
@@ -809,11 +801,7 @@ impl Server {
             )),
         };
         match parsed {
-            Err((id, err)) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.trace.count("server.errors", 1);
-                Reply::error(&id, &err)
-            }
+            Err((id, err)) => self.error_reply(&id, &err),
             Ok((id, Request::Ping)) => {
                 self.trace.count("server.ping", 1);
                 let header = obj(vec![
@@ -865,11 +853,7 @@ impl Server {
                 let start_ns = self.config.clock.now_ns();
                 let reply = match self.analyze(&id, &req) {
                     Ok(reply) => reply,
-                    Err(err) => {
-                        self.errors.fetch_add(1, Ordering::Relaxed);
-                        self.trace.count("server.errors", 1);
-                        Reply::error(&id, &err)
-                    }
+                    Err(err) => self.error_reply(&id, &err),
                 };
                 let elapsed =
                     Duration::from_nanos(self.config.clock.now_ns().saturating_sub(start_ns));
@@ -1146,55 +1130,87 @@ impl Server {
         emit::render_compact(&payload) + "\n"
     }
 
-    /// Serves one connection: reads request lines, writes framed
-    /// replies, until EOF, a `shutdown` request, the server shutting
-    /// down, or an idle timeout. Used for stdio and per TCP socket.
-    pub fn serve_connection<R: BufRead, W: Write>(
+    /// Admits one framed request line. A line to serve goes to
+    /// `enqueue`, and a blank line is skipped. A line that is too large,
+    /// not UTF-8, or refused by `enqueue` because the client is over its
+    /// quota gets back the protocol error that answers it, counted in
+    /// `requests.errors`. Every transport admits its lines here.
+    fn admit(
+        &self,
+        frame: Frame,
+        enqueue: impl FnOnce(String) -> Result<(), PushError>,
+    ) -> Option<Reply> {
+        let err = match frame {
+            Frame::TooLong => RequestError::new(
+                "too-large",
+                format!("request exceeds the {}-byte limit", self.config.max_request_bytes),
+            ),
+            Frame::Line(bytes) => match String::from_utf8(bytes) {
+                Err(_) => RequestError::new("bad-request", "request is not valid UTF-8"),
+                // Blank lines keep NDJSON pipelines simple.
+                Ok(line) if line.trim().is_empty() => return None,
+                Ok(line) => match enqueue(line) {
+                    Ok(()) => return None,
+                    Err(PushError::QuotaExceeded) => {
+                        self.trace.count("server.quota-exceeded", 1);
+                        RequestError::new(
+                            "quota-exceeded",
+                            format!(
+                                "client already has {} requests queued or in flight; \
+                                 wait for replies before sending more",
+                                self.config.client_quota
+                            ),
+                        )
+                    }
+                },
+            },
+        };
+        Some(self.error_reply(&RequestId::None, &err))
+    }
+
+    /// An error reply, counted in `requests.errors`.
+    fn error_reply(&self, id: &RequestId, err: &RequestError) -> Reply {
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.trace.count("server.errors", 1);
+        Reply::error(id, err)
+    }
+
+    /// Serves one blocking connection — `pncheckd`'s stdin and stdout —
+    /// until EOF, a `shutdown` request, or the server shutting down.
+    /// Lines are framed by the same [`LineFramer`] and admitted by the
+    /// same rules as on the TCP event loop, then served one at a time.
+    pub fn serve_connection<R: Read, W: Write>(
         &self,
         mut reader: R,
         mut writer: W,
     ) -> io::Result<()> {
+        let mut framer = LineFramer::default();
+        let mut buf = [0u8; 8192];
         loop {
-            if self.is_shutdown() {
-                return Ok(());
-            }
-            match read_line_bounded(&mut reader, self.config.max_request_bytes) {
-                Ok(LineRead::Eof) => return Ok(()),
-                Ok(LineRead::TooLong) => {
-                    self.errors.fetch_add(1, Ordering::Relaxed);
-                    self.trace.count("server.errors", 1);
-                    let err = RequestError::new(
-                        "too-large",
-                        format!("request exceeds the {}-byte limit", self.config.max_request_bytes),
-                    );
-                    Reply::error(&RequestId::None, &err).write_to(&mut writer)?;
+            let (frames, eof) = match reader.read(&mut buf) {
+                Ok(0) => (framer.finish().into_iter().collect(), true),
+                Ok(n) => (framer.feed(&buf[..n], self.config.max_request_bytes), false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            for frame in frames {
+                if self.is_shutdown() {
+                    return Ok(());
                 }
-                Ok(LineRead::Line(bytes)) => {
-                    let Ok(line) = std::str::from_utf8(&bytes) else {
-                        self.errors.fetch_add(1, Ordering::Relaxed);
-                        self.trace.count("server.errors", 1);
-                        let err = RequestError::new("bad-request", "request is not valid UTF-8");
-                        Reply::error(&RequestId::None, &err).write_to(&mut writer)?;
-                        continue;
-                    };
-                    if line.trim().is_empty() {
-                        continue; // blank lines keep NDJSON pipelines simple
-                    }
-                    let reply = self.handle_line(line);
+                let mut served = None;
+                let error = self.admit(frame, |line| {
+                    served = Some(self.handle_line(&line));
+                    Ok(())
+                });
+                if let Some(reply) = error.or(served) {
                     reply.write_to(&mut writer)?;
                     if reply.shutdown {
                         return Ok(());
                     }
                 }
-                Err(e)
-                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-                {
-                    // Read timeout: tell the client why and close.
-                    let err = RequestError::new("idle-timeout", "connection idle too long");
-                    let _ = Reply::error(&RequestId::None, &err).write_to(&mut writer);
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
+            }
+            if eof {
+                return Ok(());
             }
         }
     }
@@ -1222,13 +1238,12 @@ impl Server {
         let completions: Mutex<Vec<(u64, Reply)>> = Mutex::new(Vec::new());
         let poller = TickPoller::default();
         let workers_stop = AtomicBool::new(false);
-        let lock_queue = || queue.lock().unwrap_or_else(|e| e.into_inner());
 
         thread::scope(|scope| -> io::Result<()> {
             let workers = thread::available_parallelism().map_or(1, |n| n.get()).clamp(1, 4);
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let mut guard = lock_queue();
+                    let mut guard = lock(&queue);
                     let job = loop {
                         if let Some(job) = guard.pop() {
                             break Some(job);
@@ -1241,13 +1256,14 @@ impl Server {
                     drop(guard);
                     let Some((conn_id, line)) = job else { return };
                     let reply = self.handle_line(&line);
-                    completions.lock().unwrap_or_else(|e| e.into_inner()).push((conn_id, reply));
+                    lock(&completions).push((conn_id, reply));
                     poller.wake();
                 });
             }
 
-            let mut conns: HashMap<u64, Conn> = HashMap::new();
-            let mut next_id: u64 = 0;
+            // Dropped at the end of this closure, which closes every
+            // connection still open.
+            let mut conns = Connections::new(self, &queue);
             // Remaining short ticks before the loop falls back to the
             // long idle tick. Without epoll, request *arrival* cannot
             // wake the loop — only the tick discovers new bytes — so a
@@ -1278,95 +1294,26 @@ impl Server {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    next_id += 1;
-                    self.active_connections.fetch_add(1, Ordering::SeqCst);
-                    self.trace.count("server.connections", 1);
-                    conns.insert(next_id, Conn::new(stream, self.config.clock.now_ns()));
+                    conns.open(stream);
                 }
 
-                // Probe every socket; frame lines; enqueue fairly. New
-                // requests are not picked up once shutdown started.
-                let mut enqueued = false;
-                if !draining {
-                    let now_ns = self.config.clock.now_ns();
-                    for (&id, conn) in &mut conns {
-                        for frame in conn.read_frames(self.config.max_request_bytes, now_ns) {
-                            enqueued |= self.enqueue_frame(id, frame, conn, &queue);
-                        }
-                    }
-                }
-                if enqueued {
-                    // Workers are woken the moment a request is queued;
-                    // nothing sleeps out a tick holding a runnable job.
+                // New requests are not picked up once shutdown started.
+                // Workers are woken the moment a request is queued;
+                // nothing sleeps out a tick holding a runnable job.
+                if !draining && conns.read_requests() {
                     job_ready.notify_all();
                     activity = true;
                 }
-
-                // Collect finished replies into their output buffers.
-                for (conn_id, reply) in
-                    completions.lock().unwrap_or_else(|e| e.into_inner()).drain(..)
-                {
-                    activity = true;
-                    lock_queue().complete(conn_id);
-                    if let Some(conn) = conns.get_mut(&conn_id) {
-                        conn.last_activity_ns = self.config.clock.now_ns();
-                        conn.push_reply(&reply);
-                        if reply.shutdown {
-                            conn.closing = true;
-                        }
-                    }
+                activity |= conns.complete(lock(&completions).drain(..));
+                conns.flush();
+                if !draining {
+                    conns.reap_idle();
+                }
+                conns.close_finished();
+                if draining && conns.drained() {
+                    break;
                 }
 
-                // Flush as much as each socket accepts.
-                for conn in conns.values_mut() {
-                    conn.flush();
-                }
-
-                // Reap connections that are genuinely idle: nothing
-                // queued, nothing in flight, nothing left to flush.
-                if let Some(idle) = self.config.idle_timeout {
-                    if !draining {
-                        let now_ns = self.config.clock.now_ns();
-                        let guard = lock_queue();
-                        for (&id, conn) in &mut conns {
-                            if idle_reapable(
-                                conn.closing,
-                                conn.eof,
-                                conn.flushed(),
-                                guard.pending(id),
-                                idle,
-                                now_ns,
-                                conn.last_activity_ns,
-                            ) {
-                                self.trace.count("server.idle-reaped", 1);
-                                let err =
-                                    RequestError::new("idle-timeout", "connection idle too long");
-                                conn.push_reply(&Reply::error(&RequestId::None, &err));
-                                conn.closing = true;
-                            }
-                        }
-                    }
-                }
-
-                // Close what is done: dead sockets immediately, EOF and
-                // closing connections once every owed reply is out.
-                conns.retain(|&id, conn| {
-                    let owed = !conn.flushed() || lock_queue().pending(id) > 0;
-                    let done = conn.dead || ((conn.closing || conn.eof) && !owed);
-                    if done {
-                        let _ = conn.stream.shutdown(Shutdown::Both);
-                        lock_queue().remove(id);
-                        self.active_connections.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    !done
-                });
-
-                if draining {
-                    let all_flushed = conns.values().all(Conn::flushed);
-                    if all_flushed && lock_queue().total_pending() == 0 {
-                        break;
-                    }
-                }
                 if activity {
                     hot_ticks = 40;
                 }
@@ -1381,66 +1328,8 @@ impl Server {
 
             workers_stop.store(true, Ordering::SeqCst);
             job_ready.notify_all();
-            for (_, conn) in conns.drain() {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                self.active_connections.fetch_sub(1, Ordering::SeqCst);
-            }
             Ok(())
         })
-    }
-
-    /// Turns one framed line into either a queued job (true) or an
-    /// immediate protocol error written to the connection (false).
-    fn enqueue_frame(
-        &self,
-        id: u64,
-        frame: Frame,
-        conn: &mut Conn,
-        queue: &Mutex<FairQueue<String>>,
-    ) -> bool {
-        let line = match frame {
-            Frame::TooLong => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.trace.count("server.errors", 1);
-                let err = RequestError::new(
-                    "too-large",
-                    format!("request exceeds the {}-byte limit", self.config.max_request_bytes),
-                );
-                conn.push_reply(&Reply::error(&RequestId::None, &err));
-                return false;
-            }
-            Frame::Line(bytes) => match String::from_utf8(bytes) {
-                Ok(line) => line,
-                Err(_) => {
-                    self.errors.fetch_add(1, Ordering::Relaxed);
-                    self.trace.count("server.errors", 1);
-                    let err = RequestError::new("bad-request", "request is not valid UTF-8");
-                    conn.push_reply(&Reply::error(&RequestId::None, &err));
-                    return false;
-                }
-            },
-        };
-        if line.trim().is_empty() {
-            return false; // blank lines keep NDJSON pipelines simple
-        }
-        match queue.lock().unwrap_or_else(|e| e.into_inner()).push(id, line) {
-            Ok(()) => true,
-            Err(PushError::QuotaExceeded) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.trace.count("server.errors", 1);
-                self.trace.count("server.quota-exceeded", 1);
-                let err = RequestError::new(
-                    "quota-exceeded",
-                    format!(
-                        "client already has {} requests queued or in flight; \
-                         wait for replies before sending more",
-                        self.config.client_quota
-                    ),
-                );
-                conn.push_reply(&Reply::error(&RequestId::None, &err));
-                false
-            }
-        }
     }
 }
 
@@ -1451,30 +1340,164 @@ fn hard_connection_cap(config: &ServerConfig) -> usize {
     config.max_connections.saturating_mul(8).max(1)
 }
 
-/// The idle-reap predicate, shared verbatim by the TCP event loop and
-/// the DST sim loop so the simulated server cannot drift from the real
-/// one: only a connection with nothing queued, nothing in flight, and
-/// nothing left to flush may be reaped, no matter how stale its last
-/// activity looks on the clock.
-pub(crate) fn idle_reapable(
-    closing: bool,
-    eof: bool,
-    flushed: bool,
-    pending: usize,
-    idle: Duration,
-    now_ns: u64,
-    last_activity_ns: u64,
-) -> bool {
-    !closing
-        && !eof
-        && flushed
-        && pending == 0
-        && u128::from(now_ns.saturating_sub(last_activity_ns)) >= idle.as_nanos()
+/// Locks a mutex of the event loop. Every update to the queue and the
+/// completion list leaves them consistent, so a guard poisoned by a
+/// panicking worker is still safe to use.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A connection's byte stream, read and written without blocking:
+/// `WouldBlock` means "nothing more for now". The daemon's streams are
+/// TCP sockets; the DST harness ([`crate::sim`]) supplies scripted
+/// in-memory streams.
+pub(crate) trait Stream: Read + Write {
+    /// Closes the stream once its connection is done.
+    fn close(&mut self) {}
+}
+
+impl Stream for TcpStream {
+    fn close(&mut self) {
+        let _ = self.shutdown(Shutdown::Both);
+    }
+}
+
+/// The connection side of the event loop: every open connection, in id
+/// order, and the steps one tick runs over them. A tick reads and
+/// admits requests, [`complete`](Connections::complete)s finished
+/// replies, flushes, reaps idle connections, and closes finished ones.
+/// [`Server::serve_listener`] runs these steps over TCP sockets, and the
+/// DST harness runs the same steps over scripted streams. Dropping the
+/// set closes every connection still open.
+pub(crate) struct Connections<'a, S: Stream> {
+    server: &'a Server,
+    queue: &'a Mutex<FairQueue<String>>,
+    conns: BTreeMap<u64, Conn<S>>,
+    next_id: u64,
+}
+
+impl<'a, S: Stream> Connections<'a, S> {
+    /// An empty set whose requests queue in `queue`.
+    pub(crate) fn new(server: &'a Server, queue: &'a Mutex<FairQueue<String>>) -> Self {
+        Connections { server, queue, conns: BTreeMap::new(), next_id: 0 }
+    }
+
+    /// Open connections.
+    pub(crate) fn len(&self) -> usize {
+        self.conns.len()
+    }
+
+    /// Adds a newly accepted stream under the next connection id.
+    pub(crate) fn open(&mut self, stream: S) {
+        self.next_id += 1;
+        self.server.active_connections.fetch_add(1, Ordering::SeqCst);
+        self.server.trace.count("server.connections", 1);
+        let now_ns = self.server.config.clock.now_ns();
+        self.conns.insert(self.next_id, Conn::new(stream, now_ns));
+    }
+
+    /// Reads what every connection has to offer and admits each framed
+    /// line. Returns `true` when a request was queued.
+    pub(crate) fn read_requests(&mut self) -> bool {
+        let (server, queue) = (self.server, self.queue);
+        let now_ns = server.config.clock.now_ns();
+        let mut enqueued = false;
+        for (&id, conn) in &mut self.conns {
+            for frame in conn.read_frames(server.config.max_request_bytes, now_ns) {
+                let error = server.admit(frame, |line| {
+                    let pushed = lock(queue).push(id, line);
+                    enqueued |= pushed.is_ok();
+                    pushed
+                });
+                if let Some(error) = error {
+                    conn.push_reply(&error);
+                }
+            }
+        }
+        enqueued
+    }
+
+    /// Moves finished `(connection, reply)` pairs into their output
+    /// buffers; a reply for a connection already closed is dropped.
+    /// Returns `true` when there was at least one.
+    pub(crate) fn complete(&mut self, replies: impl IntoIterator<Item = (u64, Reply)>) -> bool {
+        let mut any = false;
+        for (conn_id, reply) in replies {
+            any = true;
+            lock(self.queue).complete(conn_id);
+            if let Some(conn) = self.conns.get_mut(&conn_id) {
+                conn.last_activity_ns = self.server.config.clock.now_ns();
+                conn.push_reply(&reply);
+                conn.closing |= reply.shutdown;
+            }
+        }
+        any
+    }
+
+    /// Writes as much buffered output as each stream accepts.
+    pub(crate) fn flush(&mut self) {
+        self.conns.values_mut().for_each(Conn::flush);
+    }
+
+    /// Answers every [idle](Conn::idle_reapable) connection with
+    /// `idle-timeout` and marks it for closing; does nothing without an
+    /// idle timeout. Returns the reaped connections, and how many stale
+    /// ones it spared because they had requests queued or in flight.
+    pub(crate) fn reap_idle(&mut self) -> (Vec<u64>, usize) {
+        let (mut reaped, mut deferred) = (Vec::new(), 0);
+        let Some(idle) = self.server.config.idle_timeout else { return (reaped, deferred) };
+        let now_ns = self.server.config.clock.now_ns();
+        let queue = lock(self.queue);
+        for (&id, conn) in &mut self.conns {
+            let pending = queue.pending(id);
+            if conn.idle_reapable(pending, idle, now_ns) {
+                self.server.trace.count("server.idle-reaped", 1);
+                let err = RequestError::new("idle-timeout", "connection idle too long");
+                conn.push_reply(&Reply::error(&RequestId::None, &err));
+                conn.closing = true;
+                reaped.push(id);
+            } else if pending > 0 && conn.stale(idle, now_ns) {
+                deferred += 1;
+            }
+        }
+        (reaped, deferred)
+    }
+
+    /// Closes what is done: dead streams at once, EOF and closing
+    /// connections once every reply they are owed is written.
+    pub(crate) fn close_finished(&mut self) {
+        let (server, queue) = (self.server, self.queue);
+        self.conns.retain(|&id, conn| {
+            let owed = !conn.flushed() || lock(queue).pending(id) > 0;
+            let done = conn.dead || ((conn.closing || conn.eof) && !owed);
+            if done {
+                conn.stream.close();
+                lock(queue).remove(id);
+                server.active_connections.fetch_sub(1, Ordering::SeqCst);
+            }
+            !done
+        });
+    }
+
+    /// `true` once every reply is written and no request is queued or
+    /// in flight.
+    pub(crate) fn drained(&self) -> bool {
+        self.conns.values().all(Conn::flushed) && lock(self.queue).total_pending() == 0
+    }
+}
+
+impl<S: Stream> Drop for Connections<'_, S> {
+    fn drop(&mut self) {
+        for conn in self.conns.values_mut() {
+            conn.stream.close();
+            self.server.active_connections.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
 }
 
 /// Per-connection state owned by the event loop.
-struct Conn {
-    stream: TcpStream,
+struct Conn<S> {
+    stream: S,
     framer: LineFramer,
     /// Bytes owed to the client; `written` of them are already out.
     outbuf: Vec<u8>,
@@ -1485,12 +1508,12 @@ struct Conn {
     eof: bool,
     /// Close once the output buffer drains (shutdown reply, idle reap).
     closing: bool,
-    /// The socket failed; drop without further ceremony.
+    /// The stream failed; drop without further ceremony.
     dead: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, now_ns: u64) -> Self {
+impl<S: Read + Write> Conn<S> {
+    fn new(stream: S, now_ns: u64) -> Self {
         Conn {
             stream,
             framer: LineFramer::default(),
@@ -1503,7 +1526,7 @@ impl Conn {
         }
     }
 
-    /// Drains everything the socket has to offer right now and returns
+    /// Drains everything the stream has to offer right now and returns
     /// the complete frames it produced.
     fn read_frames(&mut self, max_request_bytes: usize, now_ns: u64) -> Vec<Frame> {
         let mut frames = Vec::new();
@@ -1542,7 +1565,7 @@ impl Conn {
         self.outbuf.extend_from_slice(reply.payload.as_bytes());
     }
 
-    /// Writes as much buffered output as the socket accepts.
+    /// Writes as much buffered output as the stream accepts.
     fn flush(&mut self) {
         while self.written < self.outbuf.len() {
             match self.stream.write(&self.outbuf[self.written..]) {
@@ -1568,6 +1591,21 @@ impl Conn {
     /// `true` when nothing buffered remains unwritten.
     fn flushed(&self) -> bool {
         self.written == self.outbuf.len()
+    }
+
+    /// `true` when the connection is still open for requests and has
+    /// seen no read or reply for at least `idle`.
+    fn stale(&self, idle: Duration, now_ns: u64) -> bool {
+        !self.closing
+            && !self.eof
+            && u128::from(now_ns.saturating_sub(self.last_activity_ns)) >= idle.as_nanos()
+    }
+
+    /// The idle-reap rule: only a stale connection with nothing queued
+    /// or in flight (`pending`) and nothing left to flush may be
+    /// reaped, no matter how long ago its last activity was.
+    fn idle_reapable(&self, pending: usize, idle: Duration, now_ns: u64) -> bool {
+        pending == 0 && self.flushed() && self.stale(idle, now_ns)
     }
 }
 
@@ -1609,53 +1647,6 @@ fn exit_code(records: &[FileRecord], had_errors: bool) -> u64 {
         1
     } else {
         0
-    }
-}
-
-/// Outcome of one bounded line read.
-enum LineRead {
-    /// A complete line (newline stripped), or the final unterminated
-    /// line before EOF.
-    Line(Vec<u8>),
-    /// The line exceeded the limit; it was discarded through its
-    /// newline (or EOF) so the stream stays request-aligned.
-    TooLong,
-    /// The stream is exhausted.
-    Eof,
-}
-
-/// Reads one `\n`-terminated line of at most `max` bytes. Longer lines
-/// are consumed and discarded — the connection survives, the request
-/// does not.
-fn read_line_bounded(reader: &mut impl BufRead, max: usize) -> io::Result<LineRead> {
-    let mut line = Vec::new();
-    let mut discarding = false;
-    loop {
-        let buf = reader.fill_buf()?;
-        if buf.is_empty() {
-            return Ok(match (discarding, line.is_empty()) {
-                (true, _) => LineRead::TooLong,
-                (false, true) => LineRead::Eof,
-                (false, false) => LineRead::Line(line),
-            });
-        }
-        let (chunk, found_newline) = match buf.iter().position(|&b| b == b'\n') {
-            Some(i) => (&buf[..i], true),
-            None => (buf, false),
-        };
-        if !discarding {
-            if line.len() + chunk.len() > max {
-                discarding = true;
-                line.clear();
-            } else {
-                line.extend_from_slice(chunk);
-            }
-        }
-        let consumed = chunk.len() + usize::from(found_newline);
-        reader.consume(consumed);
-        if found_newline {
-            return Ok(if discarding { LineRead::TooLong } else { LineRead::Line(line) });
-        }
     }
 }
 
@@ -1926,12 +1917,42 @@ mod tests {
     }
 
     #[test]
-    fn bounded_reader_handles_eof_without_newline() {
-        let mut input: &[u8] = b"{\"op\":\"ping\"}";
-        match read_line_bounded(&mut input, 1024).unwrap() {
-            LineRead::Line(line) => assert_eq!(line, b"{\"op\":\"ping\"}"),
-            other => panic!("{:?}", std::mem::discriminant(&other)),
-        }
+    fn serve_connection_serves_an_unterminated_last_line() {
+        let s =
+            Server::new(ServerConfig { max_request_bytes: 64, ..ServerConfig::default() }).unwrap();
+        let mut out = Vec::new();
+        s.serve_connection(&b"{\"op\":\"ping\",\"id\":1}"[..], &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(text.contains("\"event\":\"pong\""), "{text}");
+
+        // An oversized last line is still answered, with `too-large`.
+        let mut out = Vec::new();
+        s.serve_connection("x".repeat(1000).as_bytes(), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(text.contains("too-large"), "{text}");
+    }
+
+    #[test]
+    fn idle_connection_with_queued_work_is_never_reaped() {
+        let idle = Duration::from_secs(300);
+        let hour_ns = 3_600_000_000_000;
+        let mut conn = Conn::new(io::empty(), 0);
+        // An hour stale, but one request queued: must be spared.
+        assert!(!conn.idle_reapable(1, idle, hour_ns));
+        // Same staleness with nothing owed: reapable.
+        assert!(conn.idle_reapable(0, idle, hour_ns));
+        // Fresh activity: not reapable.
+        assert!(!conn.idle_reapable(0, idle, 0));
+        // Unflushed reply bytes also defer the reap.
+        conn.push_reply(&server().handle_line("{\"op\":\"ping\"}"));
+        assert!(!conn.idle_reapable(0, idle, hour_ns));
+        conn.flush();
+        assert!(conn.idle_reapable(0, idle, hour_ns));
+        // A connection already closing is never reaped again.
+        conn.closing = true;
+        assert!(!conn.idle_reapable(0, idle, hour_ns));
     }
 
     /// Renders a JsonNode back to compact JSON (tests only).

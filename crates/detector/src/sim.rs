@@ -12,16 +12,19 @@
 //! A schedule ([`run_schedule`]) builds a scratch corpus of generated
 //! `.pnx` sources, then runs one or more server "phases" — each phase
 //! a fresh in-process [`Server`] over the same cache directory, i.e. a
-//! restart — on one shared virtual [`SimClock`]. Inside a phase, a
-//! single-threaded event loop mirrors the real TCP loop's composition:
-//! simulated connections feed seeded byte chunks (1-byte reads,
-//! mid-line stalls, mid-request drops) through [`LineFramer`], framed
-//! requests queue through [`FairQueue`] under the real quota rules,
-//! jobs execute through [`Server::handle_line`], and idle connections
-//! are reaped through the *same* predicate the TCP loop uses — all on
-//! virtual time, with no real sleeps anywhere. Between reads the corpus
-//! churns: files are added, removed, edited, and reflowed (re-laid out
-//! with the same pretty form, so every span moves).
+//! restart — on one shared virtual [`SimClock`]. Inside a phase, the
+//! harness runs the daemon's own connection code (`Connections`, the
+//! steps of [`Server::serve_listener`]'s event loop) over scripted
+//! in-memory streams in place of TCP sockets. A stream hands the server
+//! its client's bytes in seeded chunks (1-byte reads, mid-line stalls,
+//! bursts of everything left, mid-request drops) and accepts replies in
+//! seeded partial writes with bounded stalls. The harness itself only
+//! generates the traffic, churns the corpus, executes a seeded number of
+//! queued jobs per tick through [`Server::handle_line`] (verifying each
+//! reply), and steps the virtual clock — no real sleeps anywhere.
+//! Corpus churn lands between reads: files are added, removed, edited,
+//! and reflowed (re-laid out with the same pretty form, so every span
+//! moves).
 //!
 //! The persistent tier runs behind [`FaultyBackend`], which applies a
 //! seeded [`FaultPlan`] of short (torn) writes, bit flips, disk-full
@@ -38,24 +41,30 @@
 //!    served as a hit: it decodes as corrupt (or missing), the source
 //!    is re-analyzed, and the degradation is visible in stats.
 //! 3. **Accounting identities** — `fingerprint_lookups ==
-//!    fingerprint_hits + fingerprint_misses` in every stats payload,
-//!    and per delta reply `functions_reanalyzed + functions_reused`
+//!    fingerprint_hits + fingerprint_misses` in every stats payload;
+//!    per delta reply `functions_reanalyzed + functions_reused`
 //!    equals the function count of the re-analyzed files (every
-//!    generated file has exactly [`FUNCTIONS_PER_FILE`] functions).
+//!    generated file has exactly [`FUNCTIONS_PER_FILE`] functions); and
+//!    after each phase `requests.errors` is at least the number of
+//!    error replies clients received, `idle-timeout` aside.
 //!
 //! A failing schedule names its seed in every violation, and
 //! re-running [`run_schedule`] with the same seed and options replays
 //! it exactly — same requests, same faults, same virtual timings, same
 //! reply bytes ([`SimReport::payload_digest`] is the byte-level
-//! witness). The `dst` binary drives soaks and single-seed replays
-//! from the command line; `docs/pnx-syntax.md` has the operator guide.
+//! witness). On every tick the harness also checks that idle reaping
+//! never closes a connection with requests queued or in flight. The
+//! `dst` binary drives soaks and single-seed replays from the command
+//! line; `docs/pnx-syntax.md` has the operator guide.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -64,9 +73,9 @@ use crate::backend::{BackendKind, CacheBackend, DirBackend, IndexedBackend};
 use crate::cache::{fnv128, CacheLookup, PersistentCache, SUMMARY_STORE_KEY};
 use crate::clock::{Clock, SimClock};
 use crate::emit::json_string;
-use crate::eventloop::{FairQueue, Frame, LineFramer, Poller, PushError};
+use crate::eventloop::FairQueue;
 use crate::server::{
-    idle_reapable, parse_json, BackendWrap, JsonNode, Reply, Server, ServerConfig,
+    lock, parse_json, BackendWrap, Connections, JsonNode, Reply, Server, ServerConfig, Stream,
 };
 
 /// Functions in every generated workload file (`main` plus two
@@ -116,42 +125,6 @@ impl SimRng {
     /// A decorrelated child RNG for an independent stream.
     pub fn fork(&mut self) -> SimRng {
         SimRng::new(self.next_u64() ^ 0x2545_f491_4f6c_dd1d)
-    }
-}
-
-// ---------------------------------------------------------------------
-// The simulated poller.
-// ---------------------------------------------------------------------
-
-/// A [`Poller`] that advances a shared [`SimClock`] instead of
-/// blocking: `wait` consumes a pending wake if one exists, otherwise
-/// moves virtual time forward by the full timeout and reports it
-/// elapsed. A loop driven by this can "sleep" hours of virtual time in
-/// microseconds of wall time.
-#[derive(Debug)]
-pub struct SimPoller {
-    clock: Arc<SimClock>,
-    woken: AtomicBool,
-}
-
-impl SimPoller {
-    /// A poller over `clock`.
-    pub fn new(clock: Arc<SimClock>) -> SimPoller {
-        SimPoller { clock, woken: AtomicBool::new(false) }
-    }
-}
-
-impl Poller for SimPoller {
-    fn wait(&self, timeout: Duration) -> bool {
-        if self.woken.swap(false, Ordering::SeqCst) {
-            return true;
-        }
-        self.clock.advance(timeout);
-        false
-    }
-
-    fn wake(&self) {
-        self.woken.store(true, Ordering::SeqCst);
     }
 }
 
@@ -538,7 +511,7 @@ impl Default for SimOptions {
 /// What one schedule did and whether the invariants held. Equal
 /// `(seed, options)` produce equal reports, including the byte-level
 /// `payload_digest`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimReport {
     /// The schedule's seed.
     pub seed: u64,
@@ -548,8 +521,12 @@ pub struct SimReport {
     pub phases: usize,
     /// Request lines sent across all connections and phases.
     pub requests_sent: usize,
-    /// Replies delivered to live connections (error replies included).
+    /// Complete replies clients received (error replies included).
     pub replies_delivered: usize,
+    /// `too-large` replies clients received.
+    pub too_large_replies: usize,
+    /// `quota-exceeded` replies clients received.
+    pub quota_replies: usize,
     /// Analyze/delta payloads compared byte-for-byte against a fresh
     /// one-shot server.
     pub payload_checks: usize,
@@ -564,8 +541,8 @@ pub struct SimReport {
     pub reaped: usize,
     /// Ticks where a stale-but-busy connection was (correctly) spared.
     pub reap_deferrals: usize,
-    /// FNV-128 over every delivered reply's header + payload bytes in
-    /// delivery order — the byte-for-byte replay witness.
+    /// FNV-128 over every byte each client received, phase by phase and
+    /// connection by connection — the byte-for-byte replay witness.
     pub payload_digest: u128,
     /// Invariant violations; empty means the schedule passed.
     pub violations: Vec<String>,
@@ -603,25 +580,77 @@ struct CheckSpec {
     delta: bool,
 }
 
-struct SimConn {
-    id: u64,
+/// Consecutive writes a [`ScriptedStream`] may refuse before it must
+/// accept again, so every write stall resumes within a few ticks.
+const MAX_WRITE_STALLS: u32 = 3;
+
+/// One simulated client socket. Reads hand the server the client's
+/// byte script in seeded chunks — a stall (`WouldBlock`), one byte, a
+/// short run, or everything left — and past the script the stream ends
+/// as its [`EndKind`] says. Writes accept a seeded prefix of what the
+/// server offers, or stall with `WouldBlock` for at most
+/// [`MAX_WRITE_STALLS`] calls in a row. Accepted bytes land in
+/// `received`, which the harness keeps after the connection closes.
+struct ScriptedStream {
     script: Vec<u8>,
     pos: usize,
-    framer: LineFramer,
     end: EndKind,
-    eof: bool,
-    dead: bool,
-    closing: bool,
-    reaped: bool,
-    removed_from_queue: bool,
-    last_activity_ns: u64,
+    rng: SimRng,
+    write_stalls: u32,
+    received: Rc<RefCell<Vec<u8>>>,
 }
 
-impl SimConn {
-    fn finished(&self) -> bool {
-        self.dead || self.reaped || self.closing || self.eof
+impl Read for ScriptedStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.script.len() - self.pos;
+        if left == 0 {
+            return match self.end {
+                EndKind::CleanEof => Ok(0),
+                EndKind::Drop => Err(io::ErrorKind::ConnectionReset.into()),
+                EndKind::Linger => Err(io::ErrorKind::WouldBlock.into()),
+            };
+        }
+        let n = match self.rng.below(8) {
+            0 | 1 => return Err(io::ErrorKind::WouldBlock.into()),
+            2 => 1,
+            // Everything available: oversized lines and pipelined
+            // bursts arrive whole, before a clock jump can reap them.
+            3 => left,
+            _ => 1 + self.rng.below(18) as usize,
+        }
+        .min(left)
+        .min(buf.len());
+        buf[..n].copy_from_slice(&self.script[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
     }
 }
+
+impl Write for ScriptedStream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.end == EndKind::Drop && self.pos == self.script.len() {
+            return Err(io::ErrorKind::BrokenPipe.into());
+        }
+        if self.write_stalls < MAX_WRITE_STALLS && self.rng.chance(3) {
+            self.write_stalls += 1;
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        self.write_stalls = 0;
+        let n = if self.rng.chance(2) {
+            buf.len()
+        } else {
+            1 + self.rng.below(buf.len() as u64) as usize
+        };
+        self.received.borrow_mut().extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Stream for ScriptedStream {}
 
 /// One phase's traffic: per-connection `(byte script, end kind)` pairs
 /// plus the map from request line to its verification spec.
@@ -766,17 +795,33 @@ fn first_difference(a: &str, b: &str) -> String {
     )
 }
 
-/// Context shared by every verification inside one schedule.
-struct Verifier<'a> {
-    seed: u64,
-    clock: Arc<SimClock>,
-    base: &'a AnalyzerConfig,
-    report: &'a mut SimReport,
-}
-
-impl Verifier<'_> {
+impl Schedule<'_> {
     fn violation(&mut self, what: String) {
-        self.report.violations.push(format!("seed {}: {what}", self.seed));
+        self.report.violations.push(format!("seed {}: {what}", self.report.seed));
+    }
+
+    /// Routes one executed reply through the right invariant checks.
+    fn verify_reply(&mut self, reply: &Reply, spec: Option<&CheckSpec>) {
+        let Ok(JsonNode::Obj(header)) = parse_json(&reply.header) else {
+            self.violation(format!("unparseable reply header: {}", reply.header));
+            return;
+        };
+        let ok = matches!(field(&header, "ok"), Some(JsonNode::Bool(true)));
+        let op = match field(&header, "op") {
+            Some(JsonNode::Str(op)) => op.clone(),
+            _ => String::new(),
+        };
+        if ok {
+            if let Some(spec) = spec {
+                self.check_payload(reply, spec, &op);
+                if spec.delta {
+                    self.check_delta_accounting(&header);
+                }
+            }
+            if op == "stats" {
+                self.check_stats_payload(&reply.payload, None);
+            }
+        }
     }
 
     /// Invariant 1: the delivered payload equals a one-shot scan by a
@@ -838,14 +883,18 @@ impl Verifier<'_> {
     }
 
     /// Invariant 3b: the stats payload's cache accounting adds up.
-    /// Returns the cumulative corrupt-entry count it reports.
-    fn check_stats_payload(&mut self, payload: &str) -> u64 {
+    /// Invariant 3c, given the error replies clients received (other
+    /// than `idle-timeout`): `requests.errors` counts at least those.
+    /// Returns the cumulative corrupt-entry count the payload reports.
+    fn check_stats_payload(&mut self, payload: &str, errors_received: Option<usize>) -> u64 {
         let Ok(JsonNode::Obj(stats)) = parse_json(payload.trim()) else {
             self.violation(format!("stats payload does not parse: {payload}"));
             return 0;
         };
-        let Some(JsonNode::Obj(analysis)) = field(&stats, "analysis") else {
-            self.violation("stats payload without an analysis object".to_owned());
+        let (Some(JsonNode::Obj(analysis)), Some(JsonNode::Obj(requests))) =
+            (field(&stats, "analysis"), field(&stats, "requests"))
+        else {
+            self.violation("stats payload without analysis and requests objects".to_owned());
             return 0;
         };
         self.report.identity_checks += 1;
@@ -857,40 +906,16 @@ impl Verifier<'_> {
                 "stats identity broken: {hits} hits + {misses} misses != {lookups} lookups"
             ));
         }
-        count("persistent_corrupt").max(0) as u64
-    }
-}
-
-/// Routes one executed reply through the right invariant checks.
-fn verify_reply(
-    reply: &Reply,
-    spec: Option<&CheckSpec>,
-    clock: &Arc<SimClock>,
-    base: &AnalyzerConfig,
-    report: &mut SimReport,
-) {
-    let Ok(JsonNode::Obj(header)) = parse_json(&reply.header) else {
-        report
-            .violations
-            .push(format!("seed {}: unparseable reply header: {}", report.seed, reply.header));
-        return;
-    };
-    let ok = matches!(field(&header, "ok"), Some(JsonNode::Bool(true)));
-    let op = match field(&header, "op") {
-        Some(JsonNode::Str(op)) => op.clone(),
-        _ => String::new(),
-    };
-    let mut verifier = Verifier { seed: report.seed, clock: Arc::clone(clock), base, report };
-    if ok {
-        if let Some(spec) = spec {
-            verifier.check_payload(reply, spec, &op);
-            if spec.delta {
-                verifier.check_delta_accounting(&header);
+        if let Some(received) = errors_received {
+            self.report.identity_checks += 1;
+            let counted = int_field(requests, "errors").unwrap_or(-1);
+            if counted < received as i64 {
+                self.violation(format!(
+                    "error accounting broken: requests.errors {counted} < {received} error replies received"
+                ));
             }
         }
-        if op == "stats" {
-            verifier.check_stats_payload(&reply.payload);
-        }
+        count("persistent_corrupt").max(0) as u64
     }
 }
 
@@ -912,8 +937,7 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
     let _ = fs::remove_dir_all(&root);
     let src_dir = root.join("src");
     let cache_dir = root.join("cache");
-    let mut corpus =
-        Corpus::generate(&src_dir, &mut rng, opts.files).expect("scratch corpus writes");
+    let corpus = Corpus::generate(&src_dir, &mut rng, opts.files).expect("scratch corpus writes");
 
     let backend = opts.backend.unwrap_or(if rng.below(2) == 0 {
         BackendKind::Dir
@@ -926,28 +950,21 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
     }
     .max(if opts.kill { 2 } else { 1 });
 
-    let clock = Arc::new(SimClock::default());
-    let stats = Arc::new(FaultStats::default());
-    let base = AnalyzerConfig::default();
-    let mut report = SimReport {
-        seed,
-        backend: backend.name(),
-        phases,
-        requests_sent: 0,
-        replies_delivered: 0,
-        payload_checks: 0,
-        identity_checks: 0,
-        faults_injected: 0,
-        corrupt_detected: 0,
-        reaped: 0,
-        reap_deferrals: 0,
-        payload_digest: 0,
-        violations: Vec::new(),
+    let mut schedule = Schedule {
+        opts,
+        rng,
+        corpus,
+        clock: Arc::default(),
+        cache_dir,
+        backend,
+        stats: Arc::default(),
+        base: AnalyzerConfig::default(),
+        next_request_id: 0,
+        digest_buf: Vec::new(),
+        report: SimReport { seed, backend: backend.name(), phases, ..SimReport::default() },
     };
-
-    let mut next_request_id = 0u64;
-    let mut digest_buf: Vec<u8> = Vec::new();
     for phase in 0..phases {
+        let rng = &mut schedule.rng;
         let kill_here =
             (opts.kill && phase == 0) || (!opts.kill && phase + 1 < phases && rng.chance(3));
         let plan = FaultPlan {
@@ -957,34 +974,21 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
             kill_after_stores: kill_here.then(|| 1 + rng.below(8)),
             stale_swap_one_in: if opts.mutate { 2 } else { 0 },
         };
-        run_phase(PhaseContext {
-            rng: &mut rng,
-            corpus: &mut corpus,
-            opts,
-            clock: &clock,
-            cache_dir: &cache_dir,
-            backend,
-            plan,
-            stats: &stats,
-            base: &base,
-            next_request_id: &mut next_request_id,
-            last_phase: phase + 1 == phases,
-            digest_buf: &mut digest_buf,
-            report: &mut report,
-        });
-        if !report.violations.is_empty() {
+        schedule.run_phase(plan, phase + 1 == phases);
+        if !schedule.report.violations.is_empty() {
             break;
         }
-        if phase + 1 < phases && rng.chance(2) {
+        if phase + 1 < phases && schedule.rng.chance(2) {
             // Touch the corpus between restarts so warm state has to
             // prove itself against genuinely drifted inputs.
-            let _ = corpus.edit_file(&mut rng);
+            let _ = schedule.corpus.edit_file(&mut schedule.rng);
         }
     }
 
     // Invariant 2 at the decode level: any key whose last landed write
     // was sabotage (and which still holds exactly those bytes) must
     // read back as corrupt or missing — never as a servable hit.
+    let Schedule { cache_dir, stats, base, digest_buf, mut report, .. } = schedule;
     verify_unhealed_sabotage(&cache_dir, backend, &stats, &base, &mut report);
 
     report.faults_injected = stats.faults_injected();
@@ -993,292 +997,194 @@ pub fn run_schedule(seed: u64, opts: &SimOptions) -> SimReport {
     report
 }
 
-/// Everything one phase needs, bundled to keep the call site sane.
-struct PhaseContext<'a> {
-    rng: &'a mut SimRng,
-    corpus: &'a mut Corpus,
+/// One schedule's state, carried from phase to phase.
+struct Schedule<'a> {
     opts: &'a SimOptions,
-    clock: &'a Arc<SimClock>,
-    cache_dir: &'a Path,
+    rng: SimRng,
+    corpus: Corpus,
+    clock: Arc<SimClock>,
+    cache_dir: PathBuf,
     backend: BackendKind,
-    plan: FaultPlan,
-    stats: &'a Arc<FaultStats>,
-    base: &'a AnalyzerConfig,
-    next_request_id: &'a mut u64,
-    last_phase: bool,
-    digest_buf: &'a mut Vec<u8>,
-    report: &'a mut SimReport,
+    stats: Arc<FaultStats>,
+    base: AnalyzerConfig,
+    next_request_id: u64,
+    digest_buf: Vec<u8>,
+    report: SimReport,
 }
 
-/// Appends a delivered reply to the digest and delivery count, unless
-/// the connection is already gone (a dead socket receives nothing).
-fn deliver(conn: &SimConn, reply: &Reply, report: &mut SimReport, digest_buf: &mut Vec<u8>) {
-    if conn.dead || conn.reaped {
-        return;
-    }
-    digest_buf.extend_from_slice(reply.header.as_bytes());
-    digest_buf.push(b'\n');
-    digest_buf.extend_from_slice(reply.payload.as_bytes());
-    report.replies_delivered += 1;
-}
+/// Per-client quota of the simulated server.
+const CLIENT_QUOTA: usize = 4;
 
-/// Frame → queue, replicating the TCP loop's protocol errors
-/// (too-large, bad UTF-8, blank skip, quota) for the simulated
-/// transport.
-fn enqueue_sim_frame(
-    conn: &SimConn,
-    frame: Frame,
-    queue: &mut FairQueue<String>,
-    report: &mut SimReport,
-    digest_buf: &mut Vec<u8>,
-) {
-    let line = match frame {
-        Frame::TooLong => {
-            let reply = Reply::protocol_error("too-large", "request exceeds the limit");
-            deliver(conn, &reply, report, digest_buf);
-            return;
-        }
-        Frame::Line(bytes) => match String::from_utf8(bytes) {
-            Ok(line) => line,
-            Err(_) => {
-                let reply = Reply::protocol_error("bad-request", "request is not valid UTF-8");
-                deliver(conn, &reply, report, digest_buf);
-                return;
-            }
-        },
-    };
-    if line.trim().is_empty() {
-        return;
-    }
-    match queue.push(conn.id, line) {
-        Ok(()) => {}
-        Err(PushError::QuotaExceeded) => {
-            let reply = Reply::protocol_error("quota-exceeded", "client queue full");
-            deliver(conn, &reply, report, digest_buf);
-        }
-    }
-}
-
-fn run_phase(ctx: PhaseContext<'_>) {
-    let PhaseContext {
-        rng,
-        corpus,
-        opts,
-        clock,
-        cache_dir,
-        backend,
-        plan,
-        stats,
-        base,
-        next_request_id,
-        last_phase,
-        digest_buf,
-        report,
-    } = ctx;
-
-    let wrap = {
-        let plan = plan.clone();
-        let stats = Arc::clone(stats);
-        let seeds = AtomicU64::new(rng.next_u64());
-        BackendWrap(Arc::new(move |inner: Box<dyn CacheBackend>| {
-            // One fault stream per opened backend (one per engine
-            // configuration). Engines open in a deterministic order
-            // under jobs=1 traffic, so the streams replay too.
-            let seed = seeds.fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::SeqCst);
-            Box::new(FaultyBackend::new(inner, plan.clone(), seed, Arc::clone(&stats)))
-                as Box<dyn CacheBackend>
-        }))
-    };
-    let server = Server::new(ServerConfig {
-        base: base.clone(),
-        jobs: Some(1),
-        cache_dir: Some(cache_dir.to_path_buf()),
-        cache_backend: backend,
-        max_request_bytes: MAX_REQUEST_BYTES,
-        client_quota: 4,
-        idle_timeout: Some(IDLE_TIMEOUT),
-        clock: Arc::clone(clock) as Arc<dyn Clock>,
-        backend_wrap: Some(wrap),
-        ..ServerConfig::default()
-    })
-    .expect("simulated server builds");
-
-    let (scripts, checks) = build_traffic(rng, corpus, opts, next_request_id, last_phase);
-    report.requests_sent +=
-        scripts.iter().map(|(s, _)| s.iter().filter(|&&b| b == b'\n').count()).sum::<usize>();
-
-    let poller = SimPoller::new(Arc::clone(clock));
-    let mut queue: FairQueue<String> = FairQueue::new(4);
-    let mut conns: Vec<SimConn> = scripts
-        .into_iter()
-        .enumerate()
-        .map(|(i, (script, end))| SimConn {
-            id: i as u64 + 1,
-            script,
-            pos: 0,
-            framer: LineFramer::default(),
-            end,
-            eof: false,
-            dead: false,
-            closing: false,
-            reaped: false,
-            removed_from_queue: false,
-            last_activity_ns: clock.now_ns(),
+impl Schedule<'_> {
+    /// Runs one server phase: a fresh server over the shared cache
+    /// directory, serving one round of seeded traffic to completion.
+    fn run_phase(&mut self, plan: FaultPlan, last_phase: bool) {
+        let wrap = {
+            let stats = Arc::clone(&self.stats);
+            let seeds = AtomicU64::new(self.rng.next_u64());
+            BackendWrap(Arc::new(move |inner: Box<dyn CacheBackend>| {
+                // One fault stream per opened backend (one per engine
+                // configuration). Engines open in a deterministic order
+                // under jobs=1 traffic, so the streams replay too.
+                let seed = seeds.fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::SeqCst);
+                Box::new(FaultyBackend::new(inner, plan.clone(), seed, Arc::clone(&stats)))
+                    as Box<dyn CacheBackend>
+            }))
+        };
+        let server = Server::new(ServerConfig {
+            base: self.base.clone(),
+            jobs: Some(1),
+            cache_dir: Some(self.cache_dir.clone()),
+            cache_backend: self.backend,
+            max_request_bytes: MAX_REQUEST_BYTES,
+            client_quota: CLIENT_QUOTA,
+            idle_timeout: Some(IDLE_TIMEOUT),
+            clock: Arc::clone(&self.clock) as Arc<dyn Clock>,
+            backend_wrap: Some(wrap),
+            ..ServerConfig::default()
         })
-        .collect();
+        .expect("simulated server builds");
 
-    let mut draining = false;
-    for tick in 0.. {
-        if tick >= TICK_LIMIT {
-            report.violations.push(format!(
-                "seed {}: schedule did not terminate in {TICK_LIMIT} ticks",
-                report.seed
-            ));
-            break;
-        }
-        let now = clock.now_ns();
+        let (scripts, checks) = build_traffic(
+            &mut self.rng,
+            &self.corpus,
+            self.opts,
+            &mut self.next_request_id,
+            last_phase,
+        );
+        self.report.requests_sent +=
+            scripts.iter().map(|(s, _)| s.iter().filter(|&&b| b == b'\n').count()).sum::<usize>();
 
-        // 1. Seeded partial reads: each live connection hands the
-        // framer 0, 1, or up-to-18 bytes this tick, so every header /
-        // boundary split eventually happens. Corpus churn lands here
-        // too — between reads, never mid-request.
-        if !draining {
-            if rng.chance(8) {
-                let _ = match rng.below(6) {
-                    0 => corpus.add_file(rng),
-                    1 => corpus.remove_file(rng),
-                    3 => corpus.reflow_file(rng),
-                    _ => corpus.edit_file(rng),
-                };
-            }
-            for conn in conns.iter_mut() {
-                if conn.finished() {
-                    continue;
-                }
-                if conn.pos >= conn.script.len() {
-                    match conn.end {
-                        EndKind::CleanEof => {
-                            conn.eof = true;
-                            if let Some(frame) = conn.framer.finish() {
-                                enqueue_sim_frame(conn, frame, &mut queue, report, digest_buf);
-                            }
-                        }
-                        EndKind::Drop => conn.dead = true,
-                        EndKind::Linger => {}
-                    }
-                    continue;
-                }
-                let n = match rng.below(6) {
-                    0 => 0,
-                    1 => 1,
-                    _ => 1 + rng.below(18) as usize,
-                };
-                let n = n.min(conn.script.len() - conn.pos);
-                if n == 0 {
-                    continue;
-                }
-                let chunk: Vec<u8> = conn.script[conn.pos..conn.pos + n].to_vec();
-                conn.pos += n;
-                conn.last_activity_ns = now;
-                for frame in conn.framer.feed(&chunk, MAX_REQUEST_BYTES) {
-                    enqueue_sim_frame(conn, frame, &mut queue, report, digest_buf);
-                }
-            }
+        let queue = Mutex::new(FairQueue::new(CLIENT_QUOTA));
+        let mut conns = Connections::new(&server, &queue);
+        let mut received = Vec::new();
+        for (script, end) in scripts {
+            let stream = ScriptedStream {
+                script,
+                pos: 0,
+                end,
+                rng: self.rng.fork(),
+                write_stalls: 0,
+                received: Rc::default(),
+            };
+            received.push(Rc::clone(&stream.received));
+            conns.open(stream);
         }
 
-        // 2. Idle reaping on the virtual clock, through the same
-        // predicate as the TCP loop. A stale connection with queued
-        // work must always be spared — that is satellite invariant
-        // material, so a firing predicate there is a violation.
-        if !draining {
-            for conn in conns.iter_mut() {
-                if conn.finished() {
-                    continue;
+        for tick in 0.. {
+            if tick >= TICK_LIMIT {
+                self.violation(format!("schedule did not terminate in {TICK_LIMIT} ticks"));
+                break;
+            }
+            let draining = server.is_shutdown();
+
+            // Corpus churn lands between reads, never mid-request.
+            if !draining {
+                let (rng, corpus) = (&mut self.rng, &mut self.corpus);
+                if rng.chance(8) {
+                    let _ = match rng.below(6) {
+                        0 => corpus.add_file(rng),
+                        1 => corpus.remove_file(rng),
+                        3 => corpus.reflow_file(rng),
+                        _ => corpus.edit_file(rng),
+                    };
                 }
-                let pending = queue.pending(conn.id);
-                let stale = u128::from(now.saturating_sub(conn.last_activity_ns))
-                    >= IDLE_TIMEOUT.as_nanos();
-                let reap = idle_reapable(
-                    conn.closing,
-                    conn.eof,
-                    true,
-                    pending,
-                    IDLE_TIMEOUT,
-                    now,
-                    conn.last_activity_ns,
-                );
-                if stale && pending > 0 {
-                    report.reap_deferrals += 1;
-                    if reap {
-                        report.violations.push(format!(
-                            "seed {}: idle reap fired for conn {} with {pending} requests pending",
-                            report.seed, conn.id
+                conns.read_requests();
+            }
+
+            // A seeded number of "workers" drain the fair queue; each job
+            // runs the full protocol path and its reply is verified at
+            // execution time against a fresh one-shot server. A draw of
+            // zero stalls the pool for a tick (workers busy elsewhere), so
+            // backlogs survive tick boundaries — including clock jumps,
+            // which is what exercises the reap-deferral path.
+            let mut replies = Vec::new();
+            for _ in 0..self.rng.below(3) {
+                let Some((conn_id, line)) = lock(&queue).pop() else { break };
+                let reply = server.handle_line(&line);
+                self.verify_reply(&reply, checks.get(&line));
+                replies.push((conn_id, reply));
+            }
+            conns.complete(replies);
+            conns.flush();
+            if !draining {
+                let (reaped, deferred) = conns.reap_idle();
+                self.report.reap_deferrals += deferred;
+                for id in reaped {
+                    self.report.reaped += 1;
+                    let pending = lock(&queue).pending(id);
+                    if pending > 0 {
+                        self.violation(format!(
+                            "idle reap fired for conn {id} with {pending} requests pending"
                         ));
                     }
                 }
-                if reap {
-                    let err = Reply::protocol_error("idle-timeout", "connection idle too long");
-                    deliver(conn, &err, report, digest_buf);
-                    conn.reaped = true;
-                    report.reaped += 1;
-                    queue.remove(conn.id);
-                    conn.removed_from_queue = true;
-                }
             }
-        }
-
-        // 3. A seeded number of "workers" drain the fair queue; each
-        // job runs the full protocol path and its reply is verified at
-        // execution time against a fresh one-shot server. A draw of
-        // zero stalls the pool for a tick (workers busy elsewhere), so
-        // backlogs survive tick boundaries — including clock jumps,
-        // which is what exercises the reap-deferral path.
-        for _ in 0..rng.below(3) {
-            let Some((conn_id, line)) = queue.pop() else { break };
-            let reply = server.handle_line(&line);
-            queue.complete(conn_id);
-            verify_reply(&reply, checks.get(&line), clock, base, report);
-            let conn = &mut conns[(conn_id - 1) as usize];
-            conn.last_activity_ns = clock.now_ns();
-            deliver(conn, &reply, report, digest_buf);
-            if reply.shutdown {
-                conn.closing = true;
-                draining = true;
+            conns.close_finished();
+            if conns.drained() && (draining || conns.len() == 0) {
+                break;
             }
+
+            // Advance virtual time: mostly short event-loop ticks, with
+            // occasional long stalls that cross the idle timeout.
+            let step = if self.rng.chance(10) {
+                Duration::from_secs(31 + self.rng.below(240))
+            } else {
+                Duration::from_millis(5)
+            };
+            self.clock.advance(step);
+        }
+        drop(conns);
+
+        let mut errors_received = 0;
+        for bytes in &received {
+            let bytes = bytes.borrow();
+            errors_received += self.tally_received(&bytes);
+            self.digest_buf.extend_from_slice(&bytes);
         }
 
-        // 4. Dead sockets abandon their queue slice, like the real
-        // loop's cleanup pass.
-        for conn in conns.iter_mut() {
-            if conn.dead && !conn.removed_from_queue {
-                queue.remove(conn.id);
-                conn.removed_from_queue = true;
-            }
-        }
-
-        // 5. Termination: drained after shutdown, or every connection
-        // finished with nothing left queued or in flight.
-        if queue.total_pending() == 0 && (draining || conns.iter().all(SimConn::finished)) {
-            break;
-        }
-
-        // 6. Advance virtual time: mostly short event-loop ticks, with
-        // occasional long stalls that cross the idle timeout.
-        let step = if rng.chance(10) {
-            Duration::from_secs(31 + rng.below(240))
-        } else {
-            Duration::from_millis(5)
-        };
-        poller.wait(step);
+        // Phase-final stats probe (a monitoring client) keeps the
+        // accounting identities under test even when the seeded traffic
+        // drew no stats request, and accounts detected corruption.
+        let reply = server.handle_line("{\"op\":\"stats\"}");
+        let corrupt = self.check_stats_payload(&reply.payload, Some(errors_received));
+        self.report.corrupt_detected += corrupt;
     }
 
-    // Phase-final stats probe (a monitoring client) keeps the
-    // accounting identity under test even when the seeded traffic drew
-    // no stats request, and accounts detected corruption.
-    let reply = server.handle_line("{\"op\":\"stats\"}");
-    let mut verifier = Verifier { seed: report.seed, clock: Arc::clone(clock), base, report };
-    let corrupt = verifier.check_stats_payload(&reply.payload);
-    report.corrupt_detected += corrupt;
+    /// Tallies what one client received: every complete reply (header line
+    /// plus its advertised payload; a reply cut short by a dead socket does
+    /// not count) and the protocol errors among them. Returns how many
+    /// error replies other than `idle-timeout` it received.
+    fn tally_received(&mut self, bytes: &[u8]) -> usize {
+        let mut errors = 0;
+        let mut rest = bytes;
+        while let Some(newline) = rest.iter().position(|&b| b == b'\n') {
+            let header = std::str::from_utf8(&rest[..newline]).map_err(|e| e.to_string());
+            let Ok(JsonNode::Obj(header)) = header.and_then(parse_json) else {
+                self.violation("client received a garbled header".to_owned());
+                break;
+            };
+            let end = newline + 1 + int_field(&header, "bytes").unwrap_or(0).max(0) as usize;
+            if end > rest.len() {
+                break;
+            }
+            rest = &rest[end..];
+            self.report.replies_delivered += 1;
+            let Some(JsonNode::Obj(error)) = field(&header, "error") else { continue };
+            match field(error, "code") {
+                Some(JsonNode::Str(code)) if code == "idle-timeout" => continue,
+                Some(JsonNode::Str(code)) if code == "too-large" => {
+                    self.report.too_large_replies += 1
+                }
+                Some(JsonNode::Str(code)) if code == "quota-exceeded" => {
+                    self.report.quota_replies += 1
+                }
+                _ => {}
+            }
+            errors += 1;
+        }
+        errors
+    }
 }
 
 /// Invariant 2 at the decode level: reopen the store cold and probe
@@ -1344,17 +1250,6 @@ mod tests {
             assert!(a.below(7) < 7);
         }
         assert!(!SimRng::new(1).chance(0), "zero odds never fire");
-    }
-
-    #[test]
-    fn sim_poller_advances_virtual_time_and_honors_wakes() {
-        let clock = Arc::new(SimClock::default());
-        let poller = SimPoller::new(Arc::clone(&clock));
-        assert!(!poller.wait(Duration::from_millis(5)));
-        assert_eq!(clock.now_ns(), 5_000_000);
-        poller.wake();
-        assert!(poller.wait(Duration::from_secs(100)), "a wake preempts the wait");
-        assert_eq!(clock.now_ns(), 5_000_000, "a woken wait must not advance time");
     }
 
     #[test]
@@ -1430,22 +1325,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn idle_connection_with_queued_work_is_never_reaped() {
-        let clock = SimClock::default();
-        clock.advance(Duration::from_secs(3600));
-        let now = clock.now_ns();
-        let idle = Duration::from_secs(300);
-        // An hour stale, but one request queued: must be spared.
-        assert!(!idle_reapable(false, false, true, 1, idle, now, 0));
-        // Unflushed reply bytes also defer the reap.
-        assert!(!idle_reapable(false, false, false, 0, idle, now, 0));
-        // Same staleness with nothing owed: reapable.
-        assert!(idle_reapable(false, false, true, 0, idle, now, 0));
-        // Fresh activity: not reapable.
-        assert!(!idle_reapable(false, false, true, 0, idle, now, now));
     }
 
     #[test]

@@ -12,7 +12,9 @@ use placement_new_attacks::detector::BackendKind;
 /// The acceptance soak: a thousand seeded schedules, three invariants
 /// each, and the aggregate must prove the harness actually exercised
 /// the interesting machinery (faults landed, corruption was detected
-/// and healed, idle reaping both fired and was correctly deferred).
+/// and healed, idle reaping both fired and was correctly deferred, and
+/// oversized and over-quota requests reached the server and were
+/// answered).
 #[test]
 fn soak_one_thousand_seeds_holds_all_invariants() {
     let opts = SimOptions { tag: "soak-test".to_owned(), ..SimOptions::default() };
@@ -21,6 +23,8 @@ fn soak_one_thousand_seeds_holds_all_invariants() {
     let mut corrupt = 0u64;
     let mut reaped = 0usize;
     let mut deferrals = 0usize;
+    let mut too_large = 0usize;
+    let mut quota = 0usize;
     let mut payload_checks = 0usize;
     let mut identity_checks = 0usize;
     for seed in 0..1000 {
@@ -29,6 +33,8 @@ fn soak_one_thousand_seeds_holds_all_invariants() {
         corrupt += report.corrupt_detected;
         reaped += report.reaped;
         deferrals += report.reap_deferrals;
+        too_large += report.too_large_replies;
+        quota += report.quota_replies;
         payload_checks += report.payload_checks;
         identity_checks += report.identity_checks;
         if !report.ok() {
@@ -44,6 +50,8 @@ fn soak_one_thousand_seeds_holds_all_invariants() {
     assert!(corrupt > 0, "the soak must detect (and heal) corrupt entries");
     assert!(reaped > 0, "the soak must reap idle connections on the virtual clock");
     assert!(deferrals > 0, "the soak must defer reaping stale-but-busy connections");
+    assert!(too_large > 0, "the soak must deliver too-large replies to oversized lines");
+    assert!(quota > 0, "the soak must deliver quota-exceeded replies to pipelined bursts");
     assert!(payload_checks > 100, "the soak must compare warm payloads against one-shot scans");
     assert!(identity_checks > 100, "the soak must check accounting identities");
 }
