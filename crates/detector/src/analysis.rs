@@ -468,7 +468,7 @@ impl Analyzer {
     /// so a callee flagged both standalone and through a call is
     /// reported once.
     pub fn analyze(&self, program: &Program) -> Report {
-        self.analyze_impl(program, None, None).report
+        self.analyze_full(program, None, None).report
     }
 
     /// The full analysis product the persistent cache stores: the
@@ -488,7 +488,43 @@ impl Analyzer {
         trace: Option<&TraceCollector>,
         store: Option<&SummaryStore>,
     ) -> CachedAnalysis {
-        self.analyze_impl(program, trace, store)
+        let ix = match trace {
+            Some(t) => t.time("analysis.index", || Index::build(program)),
+            None => Index::build(program),
+        };
+        let walk_start = trace.map(|_| std::time::Instant::now());
+        let mut env = WalkEnv { memo: Memo::default() };
+        let analysis = if self.config.use_summaries {
+            let graph = CallGraph::build(program, &ix.fn_by_name);
+            let fn_fps = function_fingerprints(program);
+            let (analysis, replayed) = self.summarize(&ix, &graph, &fn_fps, store, None, &mut env);
+            if let Some(t) = trace {
+                t.count("analysis.summaries-computed", env.memo.computed);
+                t.count("analysis.summaries-applied", env.memo.applied);
+                t.count("analysis.recursive-functions", graph.recursive_functions() as u64);
+                if store.is_some() {
+                    t.count("analysis.store-reused", replayed);
+                }
+            }
+            analysis
+        } else {
+            let mut report = Report::new(&program.name);
+            for fi in 0..program.functions.len() {
+                let mut state = init_state(&ix, fi);
+                self.walk(&ix, &program.functions[fi].body, &mut state, &mut report, 0, &mut env);
+            }
+            self.filter(&mut report);
+            CachedAnalysis { report, summaries: Vec::new(), finding_pool: Vec::new() }
+        };
+        if let (Some(t), Some(start)) = (trace, walk_start) {
+            t.record_pass("analysis.walk", start.elapsed());
+            t.count("analysis.programs", 1);
+            t.count("analysis.functions", program.functions.len() as u64);
+            for f in &analysis.report.findings {
+                t.count(&format!("findings.{}", f.kind.name()), 1);
+            }
+        }
+        analysis
     }
 
     /// Function-granular re-analysis of an edited file against its
@@ -496,13 +532,14 @@ impl Analyzer {
     ///
     /// Computes the changed-function set by fingerprint comparison
     /// (renames, adds, deletes, and any edit that shifts a function's
-    /// statement positions all change fingerprints), closes it into the
-    /// invalidation *cone* under the new call graph's reverse edges, and
-    /// re-runs the interval analysis only over cone members — the
-    /// bottom-up SCC order restricted to the cone's induced subgraph.
-    /// Every function outside the cone hydrates its summary record and
-    /// findings straight from `old`, producing a report byte-identical
-    /// to a fresh scan (asserted against one in debug builds).
+    /// statement positions all change fingerprints) and closes it into
+    /// the invalidation *cone* under the new call graph's reverse edges.
+    /// The analysis itself is the same summary-mode driver a full
+    /// analysis runs: cone members are walked (callees first) and
+    /// published to `store`, and every function outside the cone reuses
+    /// its summary record and findings from `old`, producing a product
+    /// byte-identical to a fresh scan (asserted against one in debug
+    /// builds).
     ///
     /// Returns `None` when the record cannot be trusted to identify
     /// functions (inline-mode analyzer, empty/inconsistent records,
@@ -535,31 +572,32 @@ impl Analyzer {
         let graph = CallGraph::build(program, &ix.fn_by_name);
         let fn_fps = function_fingerprints(program);
 
-        let mut changed = vec![false; n];
-        for fi in 0..n {
-            match old_by_name.get(program.functions[fi].name.as_str()) {
-                Some(rec) if rec.fingerprint == fn_fps[fi] => {
-                    // Unchanged text — unless a recorded callee no longer
-                    // exists: the old summary resolved that call, a fresh
-                    // walk would treat it as external. (A *changed* callee
-                    // is caught below through the new graph's edges.)
-                    changed[fi] =
-                        rec.deps.iter().any(|d| !ix.fn_by_name.contains_key(d.callee.as_str()));
+        // A function is changed when its text moved, it is new, or a
+        // recorded callee no longer exists: the old summary resolved
+        // that call, a fresh walk would treat it as external. (A
+        // *changed* callee is caught below through the new graph's
+        // edges.)
+        let mut cone: Vec<bool> = program
+            .functions
+            .iter()
+            .zip(&fn_fps)
+            .map(|(f, fp)| match old_by_name.get(f.name.as_str()) {
+                Some(rec) if rec.fingerprint == *fp => {
+                    rec.deps.iter().any(|d| !ix.fn_by_name.contains_key(d.callee.as_str()))
                 }
-                _ => changed[fi] = true,
-            }
-        }
+                _ => true,
+            })
+            .collect();
+        let functions_changed = cone.iter().filter(|&&c| c).count() as u32;
         // Close under the NEW graph's reverse edges: the new graph has
         // the caller→callee edge for added functions too, which the old
         // records cannot know about.
         let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for fi in 0..n {
-            for &j in &graph.callees[fi] {
+        for (fi, callees) in graph.callees.iter().enumerate() {
+            for &j in callees {
                 rev[j].push(fi);
             }
         }
-        let functions_changed = changed.iter().filter(|&&c| c).count() as u32;
-        let mut cone = changed;
         let mut work: Vec<usize> = (0..n).filter(|&i| cone[i]).collect();
         while let Some(j) = work.pop() {
             for &caller in &rev[j] {
@@ -569,88 +607,20 @@ impl Analyzer {
                 }
             }
         }
+        let functions_reanalyzed = cone.iter().filter(|&&c| c).count() as u32;
 
-        let mut report = Report::new(&program.name);
-        let mut records = Vec::with_capacity(n);
-        let mut pool = FindingPool::default();
+        let reuse: Vec<Option<&FunctionSummaryRecord>> = program
+            .functions
+            .iter()
+            .zip(&cone)
+            .map(|(f, &walk)| (!walk).then(|| old_by_name[f.name.as_str()]))
+            .collect();
+        let prior = Prior { reuse, pool: &old.finding_pool };
         let mut env = WalkEnv { memo: Memo::default() };
-        let closure_fps = store.map(|_| graph.closure_fingerprints(&fn_fps));
-        // Seed cone members callees-first: the global bottom-up order
-        // restricted to the cone is exactly the induced subgraph's order
-        // (non-cone callees are reached on demand at depth > 0).
-        for &fi in &graph.bottom_up {
-            if cone[fi] {
-                self.entry_summary(&ix, fi, &mut env);
-            }
-        }
-        let mut functions_reanalyzed = 0u32;
-        let mut functions_reused = 0u32;
-        for fi in 0..n {
-            let name = program.functions[fi].name.as_str();
-            let deps: Vec<SummaryDep> = graph.callees[fi]
-                .iter()
-                .map(|&j| SummaryDep {
-                    callee: program.functions[j].name.clone(),
-                    fingerprint: fn_fps[j],
-                })
-                .collect();
-            let (findings_n, finding_ids, region_effects, clobbers) = if cone[fi] {
-                functions_reanalyzed += 1;
-                let summary = self.entry_summary(&ix, fi, &mut env);
-                let ids = summary
-                    .findings
-                    .iter()
-                    .map(|f| {
-                        emit(&mut report, f.clone());
-                        pool.intern(f)
-                    })
-                    .collect();
-                let region_effects = summary.exit_regions.len() as u32;
-                let clobbers = summary.exit_clobber.is_some();
-                if let (Some(s), Some(closure)) = (store, &closure_fps) {
-                    if let Some(key) = closure[fi] {
-                        s.insert(
-                            key,
-                            StoredSummary {
-                                findings: summary.findings.clone(),
-                                region_effects,
-                                clobbers,
-                            },
-                        );
-                    }
-                }
-                (summary.findings.len() as u32, ids, region_effects, clobbers)
-            } else {
-                functions_reused += 1;
-                let rec = old_by_name[name];
-                let ids = rec
-                    .finding_ids
-                    .iter()
-                    .map(|&id| {
-                        let f = &old.finding_pool[id as usize];
-                        emit(&mut report, f.clone());
-                        pool.intern(f)
-                    })
-                    .collect();
-                (rec.findings, ids, rec.region_effects, rec.clobbers)
-            };
-            records.push(FunctionSummaryRecord {
-                function: name.to_owned(),
-                fingerprint: fn_fps[fi],
-                findings: findings_n,
-                finding_ids,
-                region_effects,
-                clobbers,
-                deps,
-            });
-        }
-        report.findings.retain(|f| {
-            f.severity >= self.config.min_severity && !self.config.disabled.contains(&f.kind)
-        });
-        let analysis = CachedAnalysis { report, summaries: records, finding_pool: pool.pool };
+        let (analysis, _) = self.summarize(&ix, &graph, &fn_fps, store, Some(&prior), &mut env);
         #[cfg(debug_assertions)]
         {
-            let fresh = self.analyze_impl(program, None, None);
+            let fresh = self.analyze_full(program, None, None);
             debug_assert_eq!(
                 analysis, fresh,
                 "partial analysis diverged from a fresh scan of {}",
@@ -661,136 +631,101 @@ impl Analyzer {
             analysis,
             functions_changed,
             functions_reanalyzed,
-            functions_reused,
+            functions_reused: n as u32 - functions_reanalyzed,
         })
     }
 
-    fn analyze_impl(
+    /// The summary-mode analysis behind both `analyze_full` and
+    /// `analyze_partial`. Each function's entry summary comes from one
+    /// source: its `prior` record (outside a partial re-analysis's
+    /// cone), else — in a full analysis — the `store` entry under its
+    /// closure fingerprint (own text + full callee closure), else a
+    /// walk. Walked functions are seeded callees-first over the SCC
+    /// condensation (recursive cycles rely on the depth guard's bounded
+    /// widening instead) and published to `store`; then every
+    /// function's findings replay in definition order, keeping reports
+    /// byte-identical to the inline walk. Also returns how many
+    /// functions replayed a store entry.
+    fn summarize<'p>(
         &self,
-        program: &Program,
-        trace: Option<&TraceCollector>,
+        ix: &Index<'p>,
+        graph: &CallGraph,
+        fn_fps: &[u128],
         store: Option<&SummaryStore>,
-    ) -> CachedAnalysis {
-        let ix = match trace {
-            Some(t) => t.time("analysis.index", || Index::build(program)),
-            None => Index::build(program),
-        };
-        let mut report = Report::new(&program.name);
-        let mut records = Vec::new();
-        let mut pool = FindingPool::default();
-        let walk_start = trace.map(|_| std::time::Instant::now());
-        let mut env = WalkEnv { memo: Memo::default() };
-        if self.config.use_summaries {
-            let n = program.functions.len();
-            // Per-function content fingerprints (see
-            // [`FunctionSummaryRecord::fingerprint`]). The dependency
-            // lists below carry the callee fingerprints, so two record
-            // sets alone determine the invalidation cone of an edit.
-            let graph = CallGraph::build(program, &ix.fn_by_name);
-            let fn_fps = function_fingerprints(program);
-            // Cross-file exchange: a function whose closure fingerprint
-            // (own text + full callee closure) hits the store replays
-            // the stored entry summary instead of being walked at all.
-            let closure_fps = store.map(|_| graph.closure_fingerprints(&fn_fps));
-            let store_hits: Vec<Option<Arc<StoredSummary>>> = match (store, &closure_fps) {
-                (Some(s), Some(closure)) => {
-                    closure.iter().map(|k| k.and_then(|key| s.get(key))).collect()
-                }
-                _ => vec![None; n],
-            };
-            // One bottom-up pass over the SCC condensation seeds the memo
-            // table callees-first (recursive cycles rely on the depth
-            // guard's bounded widening instead)…
-            for &fi in &graph.bottom_up {
-                if store_hits[fi].is_none() {
-                    self.entry_summary(&ix, fi, &mut env);
-                }
+        prior: Option<&Prior<'_>>,
+        env: &mut WalkEnv<'p>,
+    ) -> (CachedAnalysis, u64) {
+        let program = ix.program;
+        let closure = store.map(|_| graph.closure_fingerprints(fn_fps));
+        let store_key = |fi: usize| store.zip(closure.as_ref().and_then(|c| c[fi]));
+        let sources: Vec<EntrySource<'_>> = (0..program.functions.len())
+            .map(|fi| match prior {
+                Some(p) => p.reuse[fi].map_or(EntrySource::Walk, EntrySource::Prior),
+                None => store_key(fi)
+                    .and_then(|(s, key)| s.get(key))
+                    .map_or(EntrySource::Walk, EntrySource::Replay),
+            })
+            .collect();
+        for &fi in &graph.bottom_up {
+            if matches!(sources[fi], EntrySource::Walk) {
+                self.entry_summary(ix, fi, env);
             }
-            // …then every function's entry findings replay in definition
-            // order, keeping reports byte-identical to the inline walk.
-            let mut store_reused = 0u64;
-            for fi in 0..n {
-                let deps: Vec<SummaryDep> = graph.callees[fi]
+        }
+
+        let mut report = Report::new(&program.name);
+        let mut pool = FindingPool::default();
+        let mut records = Vec::with_capacity(sources.len());
+        let old_pool = prior.map_or(&[][..], |p| p.pool);
+        for (fi, source) in sources.iter().enumerate() {
+            let (finding_ids, region_effects, clobbers) = match source {
+                EntrySource::Walk => {
+                    let summary = self.entry_summary(ix, fi, env);
+                    let region_effects = summary.exit_regions.len() as u32;
+                    let clobbers = summary.exit_clobber.is_some();
+                    if let Some((s, key)) = store_key(fi) {
+                        let findings = summary.findings.clone();
+                        s.insert(key, StoredSummary { findings, region_effects, clobbers });
+                    }
+                    (pool.replay(&mut report, summary.findings.iter()), region_effects, clobbers)
+                }
+                EntrySource::Replay(hit) => {
+                    let ids = pool.replay(&mut report, hit.findings.iter());
+                    (ids, hit.region_effects, hit.clobbers)
+                }
+                EntrySource::Prior(rec) => {
+                    let findings = rec.finding_ids.iter().map(|&id| &old_pool[id as usize]);
+                    (pool.replay(&mut report, findings), rec.region_effects, rec.clobbers)
+                }
+            };
+            records.push(FunctionSummaryRecord {
+                function: program.functions[fi].name.clone(),
+                fingerprint: fn_fps[fi],
+                findings: finding_ids.len() as u32,
+                finding_ids,
+                region_effects,
+                clobbers,
+                // Callee fingerprints: two record sets alone determine
+                // the invalidation cone of an edit.
+                deps: graph.callees[fi]
                     .iter()
                     .map(|&j| SummaryDep {
                         callee: program.functions[j].name.clone(),
                         fingerprint: fn_fps[j],
                     })
-                    .collect();
-                let (findings_n, finding_ids, region_effects, clobbers) =
-                    if let Some(hit) = &store_hits[fi] {
-                        store_reused += 1;
-                        let ids = hit
-                            .findings
-                            .iter()
-                            .map(|f| {
-                                emit(&mut report, f.clone());
-                                pool.intern(f)
-                            })
-                            .collect();
-                        (hit.findings.len() as u32, ids, hit.region_effects, hit.clobbers)
-                    } else {
-                        let summary = self.entry_summary(&ix, fi, &mut env);
-                        let ids = summary
-                            .findings
-                            .iter()
-                            .map(|f| {
-                                emit(&mut report, f.clone());
-                                pool.intern(f)
-                            })
-                            .collect();
-                        let region_effects = summary.exit_regions.len() as u32;
-                        let clobbers = summary.exit_clobber.is_some();
-                        if let (Some(s), Some(closure)) = (store, &closure_fps) {
-                            if let Some(key) = closure[fi] {
-                                s.insert(
-                                    key,
-                                    StoredSummary {
-                                        findings: summary.findings.clone(),
-                                        region_effects,
-                                        clobbers,
-                                    },
-                                );
-                            }
-                        }
-                        (summary.findings.len() as u32, ids, region_effects, clobbers)
-                    };
-                records.push(FunctionSummaryRecord {
-                    function: program.functions[fi].name.clone(),
-                    fingerprint: fn_fps[fi],
-                    findings: findings_n,
-                    finding_ids,
-                    region_effects,
-                    clobbers,
-                    deps,
-                });
-            }
-            if let Some(t) = trace {
-                t.count("analysis.summaries-computed", env.memo.computed);
-                t.count("analysis.summaries-applied", env.memo.applied);
-                t.count("analysis.recursive-functions", graph.recursive_functions() as u64);
-                if store.is_some() {
-                    t.count("analysis.store-reused", store_reused);
-                }
-            }
-        } else {
-            for fi in 0..program.functions.len() {
-                let mut state = init_state(&ix, fi);
-                self.walk(&ix, &program.functions[fi].body, &mut state, &mut report, 0, &mut env);
-            }
+                    .collect(),
+            });
         }
+        self.filter(&mut report);
+        let replayed = sources.iter().filter(|s| matches!(s, EntrySource::Replay(_))).count();
+        (CachedAnalysis { report, summaries: records, finding_pool: pool.pool }, replayed as u64)
+    }
+
+    /// Drops the findings the configuration does not report: below the
+    /// severity threshold, or of a disabled kind.
+    fn filter(&self, report: &mut Report) {
         report.findings.retain(|f| {
             f.severity >= self.config.min_severity && !self.config.disabled.contains(&f.kind)
         });
-        if let (Some(t), Some(start)) = (trace, walk_start) {
-            t.record_pass("analysis.walk", start.elapsed());
-            t.count("analysis.programs", 1);
-            t.count("analysis.functions", program.functions.len() as u64);
-            for f in &report.findings {
-                t.count(&format!("findings.{}", f.kind.name()), 1);
-            }
-        }
-        CachedAnalysis { report, summaries: records, finding_pool: pool.pool }
     }
 
     /// The memoized entry summary of function `fi`: its body walked at
@@ -1504,6 +1439,25 @@ pub struct PartialAnalysis {
     pub functions_reused: u32,
 }
 
+/// A file's previous analysis, as a partial re-analysis reuses it: per
+/// function, the record to reuse (`None` inside the invalidation cone,
+/// which is walked), and the finding pool those records index.
+struct Prior<'a> {
+    reuse: Vec<Option<&'a FunctionSummaryRecord>>,
+    pool: &'a [Finding],
+}
+
+/// Where one function's entry summary comes from in
+/// [`Analyzer::summarize`].
+enum EntrySource<'a> {
+    /// A walk of its body.
+    Walk,
+    /// A cross-file [`SummaryStore`] entry.
+    Replay(Arc<StoredSummary>),
+    /// The file's prior record, outside the invalidation cone.
+    Prior(&'a FunctionSummaryRecord),
+}
+
 /// Full-content identity of a finding, for pool interning. `Site`'s own
 /// `PartialEq` deliberately ignores spans, but the pool must distinguish
 /// findings down to the rendered byte (spans, message, width) — two
@@ -1533,6 +1487,21 @@ struct FindingPool {
 }
 
 impl FindingPool {
+    /// Emits each finding into `report` and interns it, returning the
+    /// pool ids in emission order.
+    fn replay<'f>(
+        &mut self,
+        report: &mut Report,
+        findings: impl Iterator<Item = &'f Finding>,
+    ) -> Vec<u32> {
+        findings
+            .map(|f| {
+                emit(report, f.clone());
+                self.intern(f)
+            })
+            .collect()
+    }
+
     fn intern(&mut self, f: &Finding) -> u32 {
         if let Some(&id) = self.index.get(&finding_pool_key(f)) {
             return id;

@@ -68,6 +68,14 @@ impl BackendKind {
             BackendKind::Indexed => "indexed",
         }
     }
+
+    /// Opens (creating if needed) a backend of this kind over `dir`.
+    pub fn open(self, dir: &Path) -> io::Result<Box<dyn CacheBackend>> {
+        Ok(match self {
+            BackendKind::Dir => Box::new(DirBackend::open(dir)?),
+            BackendKind::Indexed => Box::new(IndexedBackend::open(dir)?),
+        })
+    }
 }
 
 /// Byte storage for one cache directory. Implementations are shared

@@ -567,14 +567,14 @@ impl BatchEngine {
         &self,
         sources: &[S],
     ) -> (Vec<SourceOutcome>, BatchStats) {
-        self.scan_sources_with_stats_jobs(sources, self.jobs)
+        self.scan_sources(sources, self.jobs)
     }
 
-    /// [`scan_sources_with_stats`](Self::scan_sources_with_stats) with
-    /// an explicit worker count for this scan only — the daemon uses
-    /// this to honor a per-request `jobs` without rebuilding the engine
-    /// (and losing its warm caches).
-    pub fn scan_sources_with_stats_jobs<S: AsRef<str> + Sync>(
+    /// [`scan_sources_with_stats`](Self::scan_sources_with_stats) on
+    /// `jobs` workers for this scan only, so a front end honors a
+    /// per-request worker count without rebuilding the engine (and
+    /// losing its warm caches). See [`crate::cliopts::scan`].
+    pub(crate) fn scan_sources<S: AsRef<str> + Sync>(
         &self,
         sources: &[S],
         jobs: usize,
@@ -1500,13 +1500,25 @@ mod tests {
 
     #[test]
     fn per_scan_jobs_override_matches_engine_default() {
+        use crate::cliopts::{scan, ScanMode};
+        let dir = tmp_cache_dir("jobs-override");
+        std::fs::create_dir_all(&dir).unwrap();
+        let inputs: Vec<String> = [VULN_SRC, SAFE_SRC, VULN_SRC]
+            .iter()
+            .enumerate()
+            .map(|(i, src)| {
+                let path = dir.join(format!("{i}.pnx"));
+                std::fs::write(&path, src).unwrap();
+                path.to_string_lossy().into_owned()
+            })
+            .collect();
         let engine = BatchEngine::default().with_jobs(1);
-        let sources = [VULN_SRC, SAFE_SRC, VULN_SRC];
-        let (default_run, _) = engine.scan_sources_with_stats(&sources);
+        let default_run = scan(&engine, &inputs, ScanMode::Full { stdin: None }, engine.jobs());
         engine.clear_cache();
-        let (override_run, stats) = engine.scan_sources_with_stats_jobs(&sources, 8);
-        assert_eq!(stats.jobs, 3, "worker count clamps to the input count");
-        assert_eq!(default_run, override_run);
+        let override_run = scan(&engine, &inputs, ScanMode::Full { stdin: None }, 8);
+        assert_eq!(override_run.stats.jobs, 3, "worker count clamps to the input count");
+        assert_eq!(default_run.files, override_run.files);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A corpus on disk: file i is vulnerable when i is odd.
@@ -1777,7 +1789,7 @@ mod tests {
         // requests mutate them must always satisfy
         // hits + misses == lookups. With the old independent atomics a
         // reader could see the hit increment but not yet the lookup's.
-        let engine = Arc::new(BatchEngine::default().with_jobs(1));
+        let engine = Arc::new(BatchEngine::default().with_jobs(2));
         let sources: Vec<String> =
             (0..16).map(|i| SAFE_SRC.replace("program ", &format!("program t{i}_"))).collect();
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -1789,7 +1801,7 @@ mod tests {
                 // At least one scan per thread, however fast the
                 // sampler below finishes.
                 scope.spawn(move || loop {
-                    engine.scan_sources_with_stats_jobs(&sources, 2);
+                    engine.scan_sources_with_stats(&sources);
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }

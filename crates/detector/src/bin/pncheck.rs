@@ -68,58 +68,22 @@
 //! *all* leading syntax errors with line and column, the remaining files
 //! are still scanned, and the exit code is 2.
 
+use std::borrow::Cow;
 use std::io::Read as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use pnew_detector::cliopts::{self, CommonOpts};
+use pnew_detector::cliopts::{self, CommonOpts, ScanMode, ScannedFile};
 use pnew_detector::emit::{self, FileRecord, OracleRecord, OutputFormat};
 use pnew_detector::oracle::{Matrix, Oracle, Verdict};
 use pnew_detector::trace::TraceCollector;
 use pnew_detector::{
     parse_program_recovering, Analyzer, BaselineChecker, BatchEngine, BatchStats, Fixer,
-    ParseError, PersistentCache, Program, Severity,
+    PersistentCache, Program,
 };
 
 const USAGE: &str = "usage: pncheck [--baseline] [--fix] [--oracle] [--format text|json|sarif] [--min-severity LEVEL] [--disable KIND]... [--jobs N] [--cache-dir DIR] [--cache-backend dir|indexed] [--delta] [--no-summaries] [--stats] PATH... | -";
-
-/// One input after reading: raw text, not yet parsed. The default scan
-/// path hands sources to the batch engine unparsed, so a warm
-/// `--cache-dir` hit never runs the parser at all.
-struct SourceFile {
-    path: String,
-    source: String,
-}
-
-/// One input after reading and parsing: the program when it parsed, the
-/// recovered parse errors when it did not. Used by the modes that need
-/// the IR up front (`--baseline`, `--oracle`).
-struct ScannedFile {
-    path: String,
-    program: Option<Program>,
-    errors: Vec<ParseError>,
-}
-
-/// Parses every source, printing each recovered syntax error with its
-/// path. Returns the scanned files and whether any failed.
-fn parse_all(files: &[SourceFile]) -> (Vec<ScannedFile>, bool) {
-    let mut had_errors = false;
-    let scanned = files
-        .iter()
-        .map(|f| match parse_program_recovering(&f.source) {
-            Ok(p) => ScannedFile { path: f.path.clone(), program: Some(p), errors: Vec::new() },
-            Err(errors) => {
-                for e in &errors {
-                    eprintln!("pncheck: {}: {e}", f.path);
-                }
-                had_errors = true;
-                ScannedFile { path: f.path.clone(), program: None, errors }
-            }
-        })
-        .collect();
-    (scanned, had_errors)
-}
 
 fn main() -> ExitCode {
     let mut baseline = false;
@@ -224,87 +188,38 @@ fn main() -> ExitCode {
         _ => None,
     };
 
-    let mut had_errors = false;
-    let (paths, expand_errors) = cliopts::expand_inputs(&inputs);
-    for e in expand_errors {
-        eprintln!("pncheck: {e}");
-        had_errors = true;
-    }
-
-    if delta {
-        let pc = persistent.expect("--delta validated --cache-dir above");
-        let trace = stats.then(|| Arc::new(TraceCollector::new()));
-        let mut engine = BatchEngine::new(Analyzer::with_config(config)).with_persistent_cache(pc);
-        if let Some(n) = jobs {
-            engine = engine.with_jobs(n);
-        }
-        if let Some(t) = &trace {
-            engine = engine.with_trace(Arc::clone(t));
-        }
-        return run_delta(&paths, &engine, format, stats, trace.as_deref(), had_errors);
-    }
-
-    // Read every input. Bad files are reported with their path; the rest
-    // still get scanned. `unreadable` counts inputs that never became a
-    // SourceFile at all, so the stats line can report every errored file
-    // exactly once.
-    let mut unreadable = 0usize;
-    let mut files: Vec<SourceFile> = Vec::with_capacity(paths.len());
-    for path in paths {
-        let source = if path == "-" {
-            let mut s = String::new();
-            if std::io::stdin().read_to_string(&mut s).is_err() {
-                eprintln!("pncheck: cannot read stdin");
-                had_errors = true;
-                unreadable += 1;
-                continue;
-            }
-            s
-        } else {
-            match std::fs::read_to_string(&path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("pncheck: {path}: {e}");
-                    had_errors = true;
-                    unreadable += 1;
-                    continue;
-                }
-            }
-        };
-        files.push(SourceFile { path, source });
-    }
-
     let trace = stats.then(|| Arc::new(TraceCollector::new()));
+    // The text for `-`, read once. An unreadable stdin is reported like
+    // an unreadable file, in input order.
+    let stdin = inputs.iter().any(|i| i == "-").then(|| {
+        let mut text = String::new();
+        match std::io::stdin().read_to_string(&mut text) {
+            Ok(_) => Ok(text),
+            Err(_) => Err("cannot read stdin".to_owned()),
+        }
+    });
+    let stdin = stdin.as_ref().map(|text| text.as_deref().map_err(Clone::clone));
 
     if oracle {
-        let (scanned, parse_errors) = parse_all(&files);
-        let errored_files = unreadable + scanned.iter().filter(|f| f.program.is_none()).count();
-        return run_oracle(
-            &scanned,
-            errored_files,
-            had_errors || parse_errors,
-            format,
-            stats,
-            trace.as_deref(),
-        );
+        return run_oracle(&inputs, stdin, format, stats, trace.as_deref());
     }
 
     // The baseline checker needs the IR up front; the real analyzer
     // scans raw sources through the engine, so warm disk-cache hits
     // skip parsing entirely.
-    let (records, scan_stats) = if baseline {
-        let (scanned, parse_errors) = parse_all(&files);
-        had_errors |= parse_errors;
+    let (files, expand_errors, scan_stats, delta_stats) = if baseline {
+        let (paths, expand_errors) = cliopts::expand_inputs(&inputs);
         let checker = BaselineChecker::new();
-        let records = scanned
+        let files = parse_all(cliopts::read_inputs(paths, stdin))
             .into_iter()
-            .map(|f| FileRecord {
-                path: f.path,
-                report: f.program.as_ref().map(|p| checker.analyze(p)),
-                errors: f.errors,
+            .map(|(mut file, program)| {
+                if let (Ok(record), Some(program)) = (&mut file.record, &program) {
+                    record.report = Some(checker.analyze(program));
+                }
+                file
             })
             .collect();
-        (records, None)
+        (files, expand_errors, None, None)
     } else {
         let mut engine = BatchEngine::new(Analyzer::with_config(config));
         if let Some(n) = jobs {
@@ -316,94 +231,77 @@ fn main() -> ExitCode {
         if let Some(pc) = persistent {
             engine = engine.with_persistent_cache(pc);
         }
-        let sources: Vec<&str> = files.iter().map(|f| f.source.as_str()).collect();
-        let (outcomes, s) = engine.scan_sources_with_stats(&sources);
-        let records = files
-            .iter()
-            .zip(outcomes)
-            .map(|(f, o)| {
-                for e in &o.errors {
-                    eprintln!("pncheck: {}: {e}", f.path);
-                    had_errors = true;
-                }
-                if o.cache_corrupt {
-                    eprintln!("pncheck: warning: corrupt cache entry for {}; re-analyzed", f.path);
-                }
-                FileRecord { path: f.path.clone(), report: o.report, errors: o.errors }
-            })
-            .collect();
-        (records, Some(s))
+        let mode = if delta { ScanMode::Delta { changed: None } } else { ScanMode::Full { stdin } };
+        let scan = cliopts::scan(&engine, &inputs, mode, engine.jobs());
+        (scan.files, scan.expand_errors, Some(scan.stats), scan.delta)
     };
-    let records: Vec<FileRecord> = records;
 
+    for e in &expand_errors {
+        eprintln!("pncheck: {e}");
+    }
+    if delta_stats.is_some_and(|d| d.manifest_save_failed) {
+        eprintln!("pncheck: warning: could not write the delta manifest; next run rescans cold");
+    }
+    let (records, sources, unreadable) = report_inputs(files);
     // A dying cache must not look like a working one: warn once per
     // scan when any entry failed to persist.
-    if let Some(s) = &scan_stats {
-        warn_write_errors(s.persistent_write_errors);
+    if let Some(s) = scan_stats.filter(|s| s.persistent_write_errors > 0) {
+        eprintln!(
+            "pncheck: warning: {} cache write error(s); those results were not persisted",
+            s.persistent_write_errors
+        );
     }
 
-    // Errored files = unreadable inputs + files that read but failed to
-    // parse. Neither kind ever produces a report, so the count is exact
-    // regardless of --jobs.
-    let errored_files = unreadable + records.iter().filter(|r| r.report.is_none()).count();
-    let any_findings =
-        records.iter().filter_map(|r| r.report.as_ref()).any(|r| r.detected_at(Severity::Warning));
-
+    // Stats and trace carry wall-clock timings, so they embed in the
+    // JSON envelope only on request — the default envelope is
+    // deterministic.
     let embedded = if stats { scan_stats.as_ref() } else { None };
-    print_records(format, &records, embedded, trace.as_deref(), |i| {
+    let snapshot = trace.as_ref().map(|t| t.snapshot());
+    let out = emit::render_records(format, &records, embedded, snapshot.as_ref(), |i, out| {
         if fix {
             // The report may have come from the disk cache, so the IR is
-            // re-derived here; --fix is a rare, interactive path where
-            // one extra parse is cheap.
+            // re-derived here from the text that was analyzed; --fix is a
+            // rare, interactive path where one extra parse is cheap.
             let program =
-                parse_program_recovering(&files[i].source).expect("a file with a report parses");
+                parse_program_recovering(&sources[i]).expect("a file with a report parses");
             let (fixed, fixes) = Fixer::new().fix(&program);
             for f in &fixes {
                 eprintln!("fix: {f}");
             }
-            print!("{}", pnew_detector::pretty_program(&fixed));
+            out.push_str(&pnew_detector::pretty_program(&fixed));
         }
     });
+    print!("{out}");
 
     if stats {
-        if let Some(s) = &scan_stats {
-            print_stats(s, errored_files, cache_dir.is_some());
-        } else {
-            eprintln!("stats: baseline mode scans serially; no batch stats");
+        // Errored files = unreadable inputs + files that read but failed
+        // to parse. Neither kind ever produces a report, so the count is
+        // exact regardless of --jobs.
+        let errored_files = unreadable + records.iter().filter(|r| r.report.is_none()).count();
+        match &scan_stats {
+            Some(s) => print_stats(s, errored_files, cache_dir.is_some()),
+            None => eprintln!("stats: baseline mode scans serially; no batch stats"),
+        }
+        if let Some(d) = delta_stats {
+            eprintln!(
+                "delta: {} tracked, {} unchanged, {} changed, {} added, {} removed, {} seeded, cone {}/{} functions ({} changed), {} functions reanalyzed, {} functions reused, {} stat fastpath",
+                d.tracked_files,
+                d.unchanged_files,
+                d.changed_files,
+                d.added_files,
+                d.removed_files,
+                d.seeded_files,
+                d.cone_functions,
+                d.tracked_functions,
+                d.changed_functions,
+                d.functions_reanalyzed,
+                d.functions_reused,
+                d.stat_fastpath_hits,
+            );
         }
         print_trace(trace.as_deref());
     }
-    exit_status(had_errors, any_findings)
-}
-
-/// Prints the scan's records on stdout in `format`. In text mode
-/// `after_report(i)` runs after record `i`'s report (the `--fix` hook).
-/// Stats and trace carry wall-clock timings, so they embed in the JSON
-/// envelope only on request — the default envelope is deterministic.
-fn print_records(
-    format: OutputFormat,
-    records: &[FileRecord],
-    embedded: Option<&BatchStats>,
-    trace: Option<&TraceCollector>,
-    mut after_report: impl FnMut(usize),
-) {
-    match format {
-        OutputFormat::Text => {
-            for (i, record) in records.iter().enumerate() {
-                let Some(report) = &record.report else { continue };
-                print!("{report}");
-                for finding in &report.findings {
-                    println!("    hint: {}", finding.kind.suggestion());
-                }
-                after_report(i);
-            }
-        }
-        OutputFormat::Json => {
-            let snapshot = trace.map(|t| t.snapshot());
-            print!("{}", emit::render_json(records, embedded, snapshot.as_ref()));
-        }
-        OutputFormat::Sarif => print!("{}", emit::render_sarif(records)),
-    }
+    ExitCode::from(emit::exit_code(&records, !expand_errors.is_empty() || unreadable > 0))
 }
 
 /// The `--stats` line for one scan. The disk tier reports separately
@@ -441,120 +339,87 @@ fn print_trace(trace: Option<&TraceCollector>) {
     }
 }
 
-/// Exit 2 on any error, else 1 when `failed` (findings, or oracle false
-/// negatives), else 0.
-fn exit_status(had_errors: bool, failed: bool) -> ExitCode {
-    if had_errors {
-        ExitCode::from(2)
-    } else if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+/// Parses every input that was read, for the modes that need the IR
+/// up front (`--baseline`, `--oracle`): each input as a file whose
+/// record has no report yet (only its parse errors), with its program
+/// when it parsed.
+fn parse_all<'a>(
+    texts: Vec<(String, Result<Cow<'a, str>, String>)>,
+) -> Vec<(ScannedFile<'a>, Option<Program>)> {
+    texts
+        .into_iter()
+        .map(|(path, text)| {
+            let (record, program, source) = match text {
+                Err(line) => (Err(line), None, None),
+                Ok(source) => {
+                    let (program, errors) = match parse_program_recovering(&source) {
+                        Ok(program) => (Some(program), Vec::new()),
+                        Err(errors) => (None, errors),
+                    };
+                    (Ok(FileRecord { path, report: None, errors }), program, Some(source))
+                }
+            };
+            (ScannedFile { record, cache_corrupt: false, source }, program)
+        })
+        .collect()
 }
 
-/// Warns (once per scan) when persistent-cache writes failed: each
-/// failure degrades one file to uncached, and a silently dying cache
-/// looks exactly like a working one.
-fn warn_write_errors(write_errors: u64) {
-    if write_errors > 0 {
-        eprintln!(
-            "pncheck: warning: {write_errors} cache write error(s); those results were not persisted"
-        );
-    }
-}
-
-/// The `--delta` mode: incremental rescan against the cache directory's
-/// delta manifest. Only changed files are read and re-analyzed; output
-/// and exit status are byte-identical to a full scan of the same tree.
-fn run_delta(
-    paths: &[String],
-    engine: &BatchEngine,
-    format: OutputFormat,
-    stats: bool,
-    trace: Option<&TraceCollector>,
-    mut had_errors: bool,
-) -> ExitCode {
-    let (outcomes, scan_stats, delta) = engine.delta_scan(paths, None, engine.jobs());
-    if delta.manifest_save_failed {
-        eprintln!("pncheck: warning: could not write the delta manifest; next run rescans cold");
-    }
-
-    // Replicate the full-scan error reporting exactly: unreadable files
-    // are named on stderr and never become a record; parse errors are
-    // printed per file (served-from-cache failures included).
+/// Names every bad input on stderr, in input order: unreadable inputs,
+/// syntax errors with their path, corrupt cache entries. Returns the
+/// records of the inputs that were read, their texts (full scans only),
+/// and how many inputs were unreadable — those never become a record.
+fn report_inputs(files: Vec<ScannedFile<'_>>) -> (Vec<FileRecord>, Vec<Cow<'_, str>>, usize) {
     let mut unreadable = 0usize;
-    let mut records: Vec<FileRecord> = Vec::with_capacity(outcomes.len());
-    for o in &outcomes {
-        if let Some(e) = &o.read_error {
-            eprintln!("pncheck: {}: {e}", o.path);
-            had_errors = true;
-            unreadable += 1;
-            continue;
+    let mut records = Vec::with_capacity(files.len());
+    let mut sources = Vec::with_capacity(files.len());
+    for file in files {
+        let record = match file.record {
+            Ok(record) => record,
+            Err(line) => {
+                eprintln!("pncheck: {line}");
+                unreadable += 1;
+                continue;
+            }
+        };
+        for e in &record.errors {
+            eprintln!("pncheck: {}: {e}", record.path);
         }
-        for e in &o.errors {
-            eprintln!("pncheck: {}: {e}", o.path);
-            had_errors = true;
+        if file.cache_corrupt {
+            eprintln!("pncheck: warning: corrupt cache entry for {}; re-analyzed", record.path);
         }
-        if o.cache_corrupt {
-            eprintln!("pncheck: warning: corrupt cache entry for {}; re-analyzed", o.path);
-        }
-        records.push(FileRecord {
-            path: o.path.clone(),
-            report: o.analysis.as_ref().map(|a| a.report.clone()),
-            errors: o.errors.clone(),
-        });
+        records.push(record);
+        sources.extend(file.source);
     }
-    warn_write_errors(scan_stats.persistent_write_errors);
-
-    let errored_files = unreadable + records.iter().filter(|r| r.report.is_none()).count();
-    let any_findings =
-        records.iter().filter_map(|r| r.report.as_ref()).any(|r| r.detected_at(Severity::Warning));
-
-    print_records(format, &records, stats.then_some(&scan_stats), trace, |_| {});
-
-    if stats {
-        print_stats(&scan_stats, errored_files, true);
-        eprintln!(
-            "delta: {} tracked, {} unchanged, {} changed, {} added, {} removed, {} seeded, cone {}/{} functions ({} changed), {} functions reanalyzed, {} functions reused, {} stat fastpath",
-            delta.tracked_files,
-            delta.unchanged_files,
-            delta.changed_files,
-            delta.added_files,
-            delta.removed_files,
-            delta.seeded_files,
-            delta.cone_functions,
-            delta.tracked_functions,
-            delta.changed_functions,
-            delta.functions_reanalyzed,
-            delta.functions_reused,
-            delta.stat_fastpath_hits,
-        );
-        print_trace(trace);
-    }
-    exit_status(had_errors, any_findings)
+    (records, sources, unreadable)
 }
 
 /// The `--oracle` mode: run the analyzer/executor differential over
 /// every parsed program and report the TP/FP/FN verdict matrix. Exit 2
 /// on read/parse errors, 1 on any false negative, 0 on agreement.
 fn run_oracle(
-    files: &[ScannedFile],
-    errored_files: usize,
-    had_errors: bool,
+    inputs: &[String],
+    stdin: Option<Result<&str, String>>,
     format: OutputFormat,
     stats: bool,
     trace: Option<&TraceCollector>,
 ) -> ExitCode {
+    let (paths, expand_errors) = cliopts::expand_inputs(inputs);
+    for e in &expand_errors {
+        eprintln!("pncheck: {e}");
+    }
+    let (files, programs): (Vec<_>, Vec<_>) =
+        parse_all(cliopts::read_inputs(paths, stdin)).into_iter().unzip();
     let oracle = Oracle::new();
     let mut matrix = Matrix::new();
     let mut records: Vec<OracleRecord> = Vec::new();
-    for file in files {
-        let Some(program) = &file.program else { continue };
+    for (file, program) in files.iter().zip(&programs) {
+        let (Ok(record), Some(program)) = (&file.record, program) else { continue };
         let report = oracle.differential(program);
         matrix.absorb(&report);
-        records.push(OracleRecord { path: file.path.clone(), report });
+        records.push(OracleRecord { path: record.path.clone(), report });
     }
+    let (scanned, _, unreadable) = report_inputs(files);
+    let errored_files = unreadable + scanned.len() - records.len();
     if let Some(t) = trace {
         let (tp, fp, fnn) = matrix.totals();
         t.count("oracle.programs", records.len() as u64);
@@ -606,5 +471,6 @@ fn run_oracle(
         .flat_map(|r| &r.report.verdicts)
         .filter(|v| v.verdict == Verdict::FalseNegative)
         .count();
-    exit_status(had_errors, false_negatives > 0)
+    let had_errors = !expand_errors.is_empty() || errored_files > 0;
+    ExitCode::from(if had_errors { 2 } else { u8::from(false_negatives > 0) })
 }

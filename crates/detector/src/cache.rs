@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::analysis::AnalyzerConfig;
-use crate::backend::{BackendKind, CacheBackend, DirBackend, IndexedBackend};
+use crate::backend::{BackendKind, CacheBackend};
 use crate::findings::{Finding, FindingKind, Report, Severity};
 use crate::ir::{Site, Span};
 use crate::summary::{FunctionSummaryRecord, StoredSummary};
@@ -194,11 +194,7 @@ impl PersistentCache {
     /// Like [`PersistentCache::open`] but with an explicit storage
     /// backend (`--cache-backend dir|indexed`).
     pub fn open_with(dir: &Path, config: &AnalyzerConfig, kind: BackendKind) -> io::Result<Self> {
-        let backend: Box<dyn CacheBackend> = match kind {
-            BackendKind::Dir => Box::new(DirBackend::open(dir)?),
-            BackendKind::Indexed => Box::new(IndexedBackend::open(dir)?),
-        };
-        Ok(Self::with_backend(dir, config, backend))
+        Ok(Self::with_backend(dir, config, kind.open(dir)?))
     }
 
     /// Binds an already-open [`CacheBackend`] instead of opening one by
@@ -225,28 +221,24 @@ impl PersistentCache {
 
     /// Probes the cache for `key`.
     pub fn get(&self, key: u128) -> CacheLookup {
-        let bytes = match self.backend.load(key) {
-            Some(b) => b,
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return CacheLookup::Miss;
+        let lookup = match self.backend.load(key) {
+            None => CacheLookup::Miss,
+            Some(bytes) => match unseal(&bytes, self.config_tag) {
+                Ok(payload) => {
+                    decode_payload(payload, key).map_or(CacheLookup::Corrupt, CacheLookup::Hit)
+                }
+                Err(rejected) => rejected,
+            },
+        };
+        match lookup {
+            CacheLookup::Hit(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            CacheLookup::Miss => self.misses.fetch_add(1, Ordering::Relaxed),
+            CacheLookup::Corrupt => {
+                self.corrupt.fetch_add(1, Ordering::Relaxed);
+                self.misses.fetch_add(1, Ordering::Relaxed)
             }
         };
-        match decode_entry(&bytes, key, self.config_tag) {
-            Decoded::Entry(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                CacheLookup::Hit(entry)
-            }
-            Decoded::Stale => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                CacheLookup::Miss
-            }
-            Decoded::Broken => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                CacheLookup::Corrupt
-            }
-        }
+        lookup
     }
 
     /// Stores an entry for `key`. Best-effort: a full disk or a
@@ -255,22 +247,19 @@ impl PersistentCache {
     /// ([`PersistentCacheStats::write_errors`]) so the degradation is
     /// visible instead of silent.
     pub fn put(&self, key: u128, entry: &CachedAnalysis) {
-        let payload = encode_payload(key, entry);
-        let mut bytes = Vec::with_capacity(payload.len() + 36);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&self.config_tag.to_le_bytes());
-        bytes.extend_from_slice(&fnv128(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-
-        match self.backend.store(key, &bytes) {
-            Ok(()) => {
-                self.stores.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
-            }
+        if self.store_sealed(key, &encode_payload(key, entry)) {
+            self.stores.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Seals `payload` into a `.pnc` frame and stores it under `key`,
+    /// counting a failed write. Returns whether the write landed.
+    fn store_sealed(&self, key: u128, payload: &[u8]) -> bool {
+        let wrote = self.backend.store(key, &seal(payload, self.config_tag)).is_ok();
+        if !wrote {
+            self.write_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        wrote
     }
 
     /// The delta manifest text stored alongside the entries, if any.
@@ -301,37 +290,13 @@ impl PersistentCache {
         let Some(bytes) = self.backend.load(SUMMARY_STORE_KEY) else {
             return Vec::new();
         };
-        if bytes.len() < 36 || &bytes[..8] != MAGIC {
-            return Vec::new();
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        let tag = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        if version != SCHEMA_VERSION || tag != self.config_tag {
-            return Vec::new();
-        }
-        let check = u128::from_le_bytes(bytes[20..36].try_into().expect("16 bytes"));
-        let payload = &bytes[36..];
-        if fnv128(payload) != check {
-            return Vec::new();
-        }
-        decode_summary_store(payload).unwrap_or_default()
+        unseal(&bytes, self.config_tag).ok().and_then(decode_summary_store).unwrap_or_default()
     }
 
     /// Durably stores the cross-file summary-store blob under the
     /// reserved key. Best-effort like `put`; failed writes are counted.
     pub fn store_summary_entries(&self, items: &[(u128, StoredSummary)]) -> bool {
-        let payload = encode_summary_store(items);
-        let mut bytes = Vec::with_capacity(payload.len() + 36);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&self.config_tag.to_le_bytes());
-        bytes.extend_from_slice(&fnv128(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let wrote = self.backend.store(SUMMARY_STORE_KEY, &bytes).is_ok();
-        if !wrote {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        wrote
+        self.store_sealed(SUMMARY_STORE_KEY, &encode_summary_store(items))
     }
 
     /// The flag spelling of the storage backend in use.
@@ -356,32 +321,42 @@ impl PersistentCache {
     }
 }
 
-enum Decoded {
-    Entry(CachedAnalysis),
-    /// Readable but written under another schema/config: a miss.
-    Stale,
-    /// Unreadable: checksum or structure failure.
-    Broken,
+/// Length of a `.pnc` frame header: magic, schema version, config tag,
+/// payload checksum.
+const HEADER_LEN: usize = 36;
+
+/// Frames `payload` as a `.pnc` entry: magic, schema version, the
+/// analyzer-config tag, and a checksum over the payload, then the
+/// payload itself.
+fn seal(payload: &[u8], config_tag: u64) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
+    bytes.extend_from_slice(MAGIC);
+    bytes.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&config_tag.to_le_bytes());
+    bytes.extend_from_slice(&fnv128(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
 }
 
-fn decode_entry(bytes: &[u8], key: u128, config_tag: u64) -> Decoded {
-    if bytes.len() < 36 || &bytes[..8] != MAGIC {
-        return Decoded::Broken;
+/// The payload of a [`seal`]ed frame. A frame written under another
+/// schema or config is rejected as [`CacheLookup::Miss`] (stale, not
+/// broken); a short frame, foreign magic or checksum mismatch as
+/// [`CacheLookup::Corrupt`].
+fn unseal(bytes: &[u8], config_tag: u64) -> Result<&[u8], CacheLookup> {
+    if bytes.len() < HEADER_LEN || &bytes[..8] != MAGIC {
+        return Err(CacheLookup::Corrupt);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     let tag = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
     if version != SCHEMA_VERSION || tag != config_tag {
-        return Decoded::Stale;
+        return Err(CacheLookup::Miss);
     }
-    let check = u128::from_le_bytes(bytes[20..36].try_into().expect("16 bytes"));
-    let payload = &bytes[36..];
+    let check = u128::from_le_bytes(bytes[20..HEADER_LEN].try_into().expect("16 bytes"));
+    let payload = &bytes[HEADER_LEN..];
     if fnv128(payload) != check {
-        return Decoded::Broken;
+        return Err(CacheLookup::Corrupt);
     }
-    match decode_payload(payload, key) {
-        Some(entry) => Decoded::Entry(entry),
-        None => Decoded::Broken,
-    }
+    Ok(payload)
 }
 
 fn put_finding(out: &mut Vec<u8>, f: &Finding) {

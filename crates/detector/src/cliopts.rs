@@ -1,5 +1,6 @@
-//! Shared option parsing and input collection for the detector's front
-//! ends: `pncheck`, the `pncheckd` daemon, and `xcheck`.
+//! Shared option parsing, input collection and scanning for the
+//! detector's front ends: `pncheck`, the `pncheckd` daemon, and
+//! `xcheck`.
 //!
 //! All three accept the same scan options (`--jobs`, `--min-severity`,
 //! `--disable`, output format) and the same PATH semantics (a `.pnx`
@@ -7,15 +8,22 @@
 //! canonicalize-and-dedup). Centralizing the value parsing here means a
 //! request to the daemon is validated by *exactly* the rules the CLI
 //! enforces — the two cannot drift, and the protocol tests assert the
-//! error messages byte-for-byte against the CLI's.
+//! error messages byte-for-byte against the CLI's. [`scan`] is the one
+//! scan path of `pncheck` and `pncheckd`, full and delta alike: it
+//! expands and reads the inputs, runs the engine, and shapes each
+//! outcome into the [`FileRecord`] the envelopes render, so the two
+//! front ends report the same records for the same inputs. (Modes that
+//! need the IR up front — `pncheck --baseline`/`--oracle`, `xcheck` —
+//! read with [`read_inputs`] and parse themselves.)
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use crate::analysis::AnalyzerConfig;
 use crate::backend::BackendKind;
-use crate::batch::ShardSpec;
-use crate::emit::OutputFormat;
+use crate::batch::{BatchEngine, BatchStats, DeltaStats, ShardSpec};
+use crate::emit::{FileRecord, OutputFormat};
 use crate::findings::{FindingKind, Severity};
 
 /// Parses a worker count: a positive integer.
@@ -157,6 +165,131 @@ pub fn expand_inputs(inputs: &[String]) -> (Vec<String>, Vec<String>) {
     (paths, errors)
 }
 
+/// Reads every expanded path, in order. The input `-` takes `stdin`
+/// when one is given: its text, or the line naming why it could not be
+/// read; without one, `-` is read as a file. A read error becomes the
+/// line `"{path}: {error}"`.
+pub fn read_inputs<'a>(
+    paths: Vec<String>,
+    stdin: Option<Result<&'a str, String>>,
+) -> Vec<(String, Result<Cow<'a, str>, String>)> {
+    paths
+        .into_iter()
+        .map(|path| {
+            let text = match &stdin {
+                Some(text) if path == "-" => text.clone().map(Cow::Borrowed),
+                _ => std::fs::read_to_string(&path)
+                    .map(Cow::Owned)
+                    .map_err(|e| format!("{path}: {e}")),
+            };
+            (path, text)
+        })
+        .collect()
+}
+
+/// How [`scan`] analyzes its inputs.
+#[derive(Debug)]
+pub enum ScanMode<'a> {
+    /// Read and analyze every input through the engine's cache tiers.
+    /// `stdin` is the text for the input `-` (see [`read_inputs`]).
+    Full {
+        /// The text for `-`, or the line naming why it could not be read.
+        stdin: Option<Result<&'a str, String>>,
+    },
+    /// Rescan incrementally against the engine's tracked index
+    /// ([`BatchEngine::delta_scan`]), trusting the optional `changed`
+    /// hint. Inputs are paths only.
+    Delta {
+        /// Client-named changed paths; `None` stats every tracked file.
+        changed: Option<&'a [String]>,
+    },
+}
+
+/// One input of a [`scan`], in input order.
+#[derive(Debug, PartialEq)]
+pub struct ScannedFile<'a> {
+    /// The file's record, or the line naming why it could not be read
+    /// (`"{path}: {error}"`).
+    pub record: Result<FileRecord, String>,
+    /// An on-disk cache entry existed but was corrupt; the file was
+    /// re-analyzed and the entry rewritten.
+    pub cache_corrupt: bool,
+    /// The text that was analyzed. Full scans only: a delta scan never
+    /// reads the files it serves unchanged.
+    pub source: Option<Cow<'a, str>>,
+}
+
+/// Everything one [`scan`] produced.
+#[derive(Debug)]
+pub struct Scan<'a> {
+    /// One entry per expanded input, in input order.
+    pub files: Vec<ScannedFile<'a>>,
+    /// One `"{input}: {error}"` line per directory that could not be
+    /// expanded.
+    pub expand_errors: Vec<String>,
+    /// The engine's counters for this scan.
+    pub stats: BatchStats,
+    /// Invalidation counters, for a delta scan.
+    pub delta: Option<DeltaStats>,
+}
+
+/// The front ends' scan: expands `inputs` ([`expand_inputs`]), then
+/// reads and analyzes them through `engine` on `jobs` workers, fully or
+/// incrementally as `mode` says.
+pub fn scan<'a>(
+    engine: &BatchEngine,
+    inputs: &[String],
+    mode: ScanMode<'a>,
+    jobs: usize,
+) -> Scan<'a> {
+    let (paths, expand_errors) = expand_inputs(inputs);
+    let (files, stats, delta) = match mode {
+        ScanMode::Full { stdin } => {
+            let texts = read_inputs(paths, stdin);
+            let sources: Vec<&str> = texts.iter().filter_map(|(_, t)| t.as_deref().ok()).collect();
+            let (outcomes, stats) = engine.scan_sources(&sources, jobs);
+            let mut outcomes = outcomes.into_iter();
+            let files = texts
+                .into_iter()
+                .map(|(path, text)| match text {
+                    Err(line) => {
+                        ScannedFile { record: Err(line), cache_corrupt: false, source: None }
+                    }
+                    Ok(source) => {
+                        let o = outcomes.next().expect("one outcome per text read");
+                        ScannedFile {
+                            record: Ok(FileRecord { path, report: o.report, errors: o.errors }),
+                            cache_corrupt: o.cache_corrupt,
+                            source: Some(source),
+                        }
+                    }
+                })
+                .collect();
+            (files, stats, None)
+        }
+        ScanMode::Delta { changed } => {
+            let (outcomes, stats, delta) = engine.delta_scan(&paths, changed, jobs);
+            let files = outcomes
+                .into_iter()
+                .map(|o| ScannedFile {
+                    record: match o.read_error {
+                        Some(e) => Err(format!("{}: {e}", o.path)),
+                        None => Ok(FileRecord {
+                            path: o.path,
+                            report: o.analysis.map(|a| a.report.clone()),
+                            errors: o.errors,
+                        }),
+                    },
+                    cache_corrupt: o.cache_corrupt,
+                    source: None,
+                })
+                .collect();
+            (files, stats, Some(delta))
+        }
+    };
+    Scan { files, expand_errors, stats, delta }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,5 +360,17 @@ mod tests {
         assert!(paths.contains(&"-".to_owned()));
         assert!(paths.iter().filter(|p| p.ends_with("a.pnx")).count() == 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn read_inputs_gives_stdin_to_dash_only_when_supplied() {
+        let dash = || vec!["-".to_owned()];
+        let read = read_inputs(dash(), Some(Ok("program p;\n")));
+        assert_eq!(read[0].1.as_deref(), Ok("program p;\n"));
+        let read = read_inputs(dash(), Some(Err("cannot read stdin".to_owned())));
+        assert_eq!(read[0].1, Err("cannot read stdin".to_owned()));
+        // Without stdin, `-` is a file name like any other.
+        let read = read_inputs(dash(), None);
+        assert!(read[0].1.as_ref().unwrap_err().starts_with("-: "), "{:?}", read[0].1);
     }
 }

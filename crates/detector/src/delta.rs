@@ -20,10 +20,12 @@
 //! function whose verdict changed between two analyses must always lie
 //! inside the cone.
 //!
-//! This module also owns the **delta manifest** (`manifest.pnm`), the
-//! small text file in a `--cache-dir` that lets `pncheck --delta` carry
-//! the tracked-file index across processes: one row per file with its
-//! length, mtime, and source-fingerprint key. The manifest is an
+//! This module also owns the format of the **delta manifest**, the small
+//! text a `--cache-dir` keeps so `pncheck --delta` can carry the
+//! tracked-file index across processes: one row per file with its
+//! length, mtime, and source-fingerprint key. The cache backend stores
+//! the text (`manifest.pnm` in a `dir` cache, one record in an
+//! `indexed` store). The manifest is an
 //! accelerator, not a source of truth — a missing or stale manifest
 //! degrades to stat+read+cache-probe per file, never to a wrong report.
 //! The DST harness ([`crate::sim`]) leans on exactly that contract: its
@@ -31,10 +33,6 @@
 //! still serve envelopes byte-identical to a fresh scan, with
 //! `functions_reanalyzed + functions_reused` accounting for every
 //! function of every re-analyzed file.
-
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
 use crate::summary::FunctionSummaryRecord;
 
@@ -126,13 +124,6 @@ pub struct ManifestRow {
 
 const MANIFEST_HEADER: &str = "pnx-delta-manifest/1";
 
-/// The manifest location inside a `dir`-backend cache directory. (The
-/// `indexed` backend stores the same text as a record in its store
-/// file instead — see [`crate::backend`].)
-pub fn manifest_path(cache_dir: &Path) -> PathBuf {
-    cache_dir.join(crate::backend::MANIFEST_FILE)
-}
-
 /// Parses manifest text into rows.
 ///
 /// Forgiving by design: a foreign header or malformed rows yield an
@@ -150,15 +141,6 @@ pub fn parse_manifest(text: &str) -> Vec<ManifestRow> {
         }
     }
     rows
-}
-
-/// Reads a delta manifest file, returning its rows. A missing file is
-/// empty, not an error — see [`parse_manifest`].
-pub fn read_manifest(path: &Path) -> Vec<ManifestRow> {
-    let Ok(text) = fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    parse_manifest(&text)
 }
 
 /// `<len> <mtime_ns> <key:032x> <path>` — path last, so paths with
@@ -192,32 +174,10 @@ pub fn render_manifest(rows: &mut [ManifestRow]) -> String {
     text
 }
 
-/// Writes a delta manifest file, via a uniquely named temp file
-/// (pid + nonce, so concurrent writers sharing the directory cannot
-/// clobber each other's in-flight temp) and rename so concurrent
-/// readers never see a torn file. Best-effort like
-/// [`PersistentCache::put`](crate::PersistentCache): returns whether
-/// the write succeeded.
-pub fn write_manifest(path: &Path, rows: &mut [ManifestRow]) -> bool {
-    let text = render_manifest(rows);
-    let Some(dir) = path.parent() else {
-        return false;
-    };
-    let tmp =
-        dir.join(format!(".manifest.{}-{}.tmp", std::process::id(), crate::backend::temp_nonce()));
-    let wrote = fs::File::create(&tmp)
-        .and_then(|mut f| f.write_all(text.as_bytes()))
-        .and_then(|()| fs::rename(&tmp, path));
-    if wrote.is_err() {
-        let _ = fs::remove_file(&tmp);
-        return false;
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{CacheBackend, DirBackend};
     use crate::summary::SummaryDep;
 
     fn record(function: &str, fingerprint: u128, deps: &[(&str, u128)]) -> FunctionSummaryRecord {
@@ -288,9 +248,8 @@ mod tests {
     #[test]
     fn manifest_round_trips_including_paths_with_spaces() {
         let dir = std::env::temp_dir().join(format!("pnx-delta-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let path = manifest_path(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        let backend = DirBackend::open(&dir).unwrap();
         let mut rows = vec![
             ManifestRow {
                 path: "b dir/with space.pnx".into(),
@@ -300,31 +259,32 @@ mod tests {
             },
             ManifestRow { path: "a.pnx".into(), len: 0, mtime_ns: 0, key: u128::MAX },
         ];
-        assert!(write_manifest(&path, &mut rows));
-        let read = read_manifest(&path);
+        backend.store_manifest(&render_manifest(&mut rows)).unwrap();
+        let read = parse_manifest(&backend.load_manifest().unwrap());
         assert_eq!(read.len(), 2);
         assert_eq!(read[0].path, "a.pnx", "rows come back sorted by path");
         assert_eq!(read[1].path, "b dir/with space.pnx");
         assert_eq!(read[1].key, 0xdead_beef);
         assert_eq!(read[1].mtime_ns, 123_456_789_000);
-        let _ = fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_or_foreign_manifests_read_as_empty() {
         let dir = std::env::temp_dir().join(format!("pnx-delta-hdr-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let path = manifest_path(&dir);
-        assert!(read_manifest(&path).is_empty(), "missing file is empty, not an error");
-        fs::write(&path, "some-other-format/9\n1 2 3 x\n").unwrap();
-        assert!(read_manifest(&path).is_empty(), "foreign header rejects the whole file");
-        fs::write(&path, "pnx-delta-manifest/1\nnot a row\n5 6 zz bad-key.pnx\n7 8 0f ok.pnx\n")
+        let _ = std::fs::remove_dir_all(&dir);
+        let backend = DirBackend::open(&dir).unwrap();
+        assert_eq!(backend.load_manifest(), None, "missing file is empty, not an error");
+        backend.store_manifest("some-other-format/9\n1 2 3 x\n").unwrap();
+        let text = backend.load_manifest().unwrap();
+        assert!(parse_manifest(&text).is_empty(), "foreign header rejects the whole file");
+        backend
+            .store_manifest("pnx-delta-manifest/1\nnot a row\n5 6 zz bad-key.pnx\n7 8 0f ok.pnx\n")
             .unwrap();
-        let rows = read_manifest(&path);
+        let rows = parse_manifest(&backend.load_manifest().unwrap());
         assert_eq!(rows.len(), 1, "malformed rows are skipped, good rows kept");
         assert_eq!(rows[0].path, "ok.pnx");
         assert_eq!(rows[0].key, 0xf);
-        let _ = fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -53,7 +53,7 @@ impl FromStr for OutputFormat {
 
 /// One scanned input file, as the serializers see it: a report when the
 /// file parsed, the collected parse errors when it did not.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileRecord {
     /// The path as given on the command line (or `-` for stdin).
     pub path: String,
@@ -312,6 +312,55 @@ fn file_value(record: &FileRecord) -> JsonValue {
         ("findings", JsonValue::Arr(findings)),
         ("errors", JsonValue::Arr(errors)),
     ])
+}
+
+/// Renders a scan's records in `format` — the text report, the
+/// `pncheck-report/1` JSON envelope, or SARIF. `pncheck` prints exactly
+/// this and `pncheckd` returns it as the analyze/delta payload, so the
+/// CLI and the daemon cannot drift apart. In text mode
+/// `after_report(i, out)` runs after record `i`'s report (the `--fix`
+/// hook). `stats` and `trace` embed in the JSON envelope only; they
+/// carry timings, so the default envelope passes `None`.
+pub fn render_records(
+    format: OutputFormat,
+    records: &[FileRecord],
+    stats: Option<&BatchStats>,
+    trace: Option<&TraceReport>,
+    mut after_report: impl FnMut(usize, &mut String),
+) -> String {
+    match format {
+        OutputFormat::Text => {
+            let mut out = String::new();
+            for (i, record) in records.iter().enumerate() {
+                let Some(report) = &record.report else { continue };
+                let _ = write!(out, "{report}");
+                for finding in &report.findings {
+                    let _ = writeln!(out, "    hint: {}", finding.kind.suggestion());
+                }
+                after_report(i, &mut out);
+            }
+            out
+        }
+        OutputFormat::Json => render_json(records, stats, trace),
+        OutputFormat::Sarif => render_sarif(records),
+    }
+}
+
+/// The exit status of a scan, for `pncheck` and the `pncheckd` reply
+/// header alike: 2 when an input could not be expanded or read
+/// (`input_failed`) or did not parse, else 1 when any report has a
+/// warning-level finding, else 0.
+pub fn exit_code(records: &[FileRecord], input_failed: bool) -> u8 {
+    if input_failed || records.iter().any(|r| !r.errors.is_empty()) {
+        2
+    } else {
+        u8::from(
+            records
+                .iter()
+                .filter_map(|r| r.report.as_ref())
+                .any(|r| r.detected_at(Severity::Warning)),
+        )
+    }
 }
 
 /// Renders the `pncheck-report/1` JSON envelope.

@@ -38,7 +38,7 @@
 //! is the CLI's text report. `exit` mirrors the CLI's exit status (0
 //! clean, 1 findings, 2 read/parse errors). The `delta` op rescans
 //! paths incrementally through the engine's tracked index — unchanged
-//! files (by stat, plus an optional client `changed` hint) are served
+//! files (by stat, or by a trusted client `changed` hint) are served
 //! with zero reads and zero parses, the payload stays byte-identical
 //! to a full `analyze` of the same paths, and the header carries the
 //! invalidation-cone counters. Malformed, oversized, or
@@ -82,10 +82,10 @@ use std::thread;
 use std::time::Duration;
 
 use crate::analysis::{Analyzer, AnalyzerConfig};
-use crate::backend::{BackendKind, CacheBackend, DirBackend, IndexedBackend};
-use crate::batch::{BatchEngine, BatchStats, ShardSpec};
+use crate::backend::{BackendKind, CacheBackend};
+use crate::batch::{BatchEngine, ShardSpec};
 use crate::cache::{config_tag, PersistentCache};
-use crate::cliopts;
+use crate::cliopts::{self, ScanMode};
 use crate::clock::{Clock, SystemClock};
 use crate::emit::{self, obj, FileRecord, JsonValue, OutputFormat};
 use crate::eventloop::{FairQueue, Frame, LineFramer, PushError, TickPoller};
@@ -389,9 +389,10 @@ impl RequestId {
 /// The analyze-request options after validation.
 #[derive(Debug, Clone)]
 struct AnalyzeRequest {
-    /// Filesystem paths (dirs expand) — exclusive with `source`.
+    /// Filesystem paths (dirs expand); just `-` with inline `source`.
     paths: Vec<String>,
-    /// Inline source text, analyzed under the path `-`.
+    /// Inline source text, analyzed under the path `-` like `pncheck -`
+    /// fed the same bytes on stdin.
     source: Option<String>,
     jobs: Option<usize>,
     config: AnalyzerConfig,
@@ -400,8 +401,9 @@ struct AnalyzeRequest {
     /// `op: "delta"`: incremental rescan against the engine's tracked
     /// index instead of a full scan. Requires `paths`.
     delta: bool,
-    /// Client-named changed paths for a delta rescan (a hint — every
-    /// path is still stat-checked, so a stale hint cannot go stale).
+    /// Client-named changed paths for a delta rescan. The hint is
+    /// trusted: the stat sweep is skipped, so a changed file the client
+    /// does not name is served stale until the next unhinted rescan.
     changed: Option<Vec<String>>,
 }
 
@@ -570,6 +572,8 @@ fn parse_request(
             "bad-request",
             "analyze needs exactly one of \"paths\" or \"source\"".to_owned(),
         ));
+    } else if req.source.is_some() {
+        req.paths.push("-".to_owned());
     }
     Ok((id, Request::Analyze(Box::new(req))))
 }
@@ -761,10 +765,7 @@ impl Server {
             engine = engine.with_jobs(jobs);
         }
         if let Some(dir) = &self.config.cache_dir {
-            let backend: Box<dyn CacheBackend> = match self.config.cache_backend {
-                BackendKind::Dir => Box::new(DirBackend::open(dir)?),
-                BackendKind::Indexed => Box::new(IndexedBackend::open(dir)?),
-            };
+            let backend = self.config.cache_backend.open(dir)?;
             let backend = match &self.config.backend_wrap {
                 Some(wrap) => (wrap.0)(backend),
                 None => backend,
@@ -863,140 +864,85 @@ impl Server {
         }
     }
 
-    /// Serves one `analyze` request: expand inputs exactly like the
-    /// CLI, scan through the shared engine, and render the same
-    /// envelope `pncheck` would print.
+    /// Serves one `analyze` or `delta` request: scan through the shared
+    /// engine exactly as `pncheck` does ([`cliopts::scan`]) and reply
+    /// with the envelope it would print as payload. The header carries
+    /// the exit code, any file errors and, for `delta`, the
+    /// invalidation counters.
+    ///
+    /// A `delta` rescans through the engine's tracked index; the first
+    /// one against a cold engine seeds that index from the cache
+    /// directory's manifest, so a fresh daemon picks up where a
+    /// `pncheck --delta` run (or a previous daemon) left off.
     fn analyze(&self, id: &RequestId, req: &AnalyzeRequest) -> Result<Reply, RequestError> {
         let engine = self.engine_for(&req.config).map_err(|e| {
             RequestError::new("engine-unavailable", format!("cannot open cache: {e}"))
         })?;
-        if req.delta {
-            return Ok(self.analyze_delta(id, req, &engine));
-        }
-
-        let mut file_errors: Vec<String> = Vec::new();
-        let mut files: Vec<(String, String)> = Vec::new();
-        if let Some(source) = &req.source {
-            // Inline text is analyzed under the path `-`, matching
-            // `pncheck -` fed the same bytes on stdin.
-            files.push(("-".to_owned(), source.clone()));
+        let mode = if req.delta {
+            ScanMode::Delta { changed: req.changed.as_deref() }
         } else {
-            let (paths, expand_errors) = cliopts::expand_inputs(&req.paths);
-            file_errors.extend(expand_errors);
-            for path in paths {
-                match std::fs::read_to_string(&path) {
-                    Ok(source) => files.push((path, source)),
-                    Err(e) => file_errors.push(format!("{path}: {e}")),
-                }
+            ScanMode::Full { stdin: req.source.as_deref().map(Ok) }
+        };
+        let jobs = req.jobs.unwrap_or_else(|| engine.jobs());
+        let scan = cliopts::scan(&engine, &req.paths, mode, jobs);
+        let mut file_errors = scan.expand_errors;
+        let mut records: Vec<FileRecord> = Vec::with_capacity(scan.files.len());
+        for file in scan.files {
+            match file.record {
+                Ok(record) => records.push(record),
+                Err(line) => file_errors.push(line),
             }
         }
-
-        let sources: Vec<&str> = files.iter().map(|(_, s)| s.as_str()).collect();
-        let jobs = req.jobs.unwrap_or_else(|| engine.jobs());
-        let (outcomes, scan_stats) = engine.scan_sources_with_stats_jobs(&sources, jobs);
-        let records: Vec<FileRecord> = files
-            .iter()
-            .zip(outcomes)
-            .map(|((path, _), outcome)| FileRecord {
-                path: path.clone(),
-                report: outcome.report,
-                errors: outcome.errors,
-            })
-            .collect();
-
-        Ok(self.envelope_reply(id, req, &records, &scan_stats, &file_errors, None))
-    }
-
-    /// The reply of both analysis ops: the envelope `pncheck` would
-    /// print as payload, and a header with the exit code, the `delta`
-    /// counters (which also make it a `delta` reply), and any file
-    /// errors.
-    fn envelope_reply(
-        &self,
-        id: &RequestId,
-        req: &AnalyzeRequest,
-        records: &[FileRecord],
-        scan_stats: &BatchStats,
-        file_errors: &[String],
-        delta: Option<JsonValue>,
-    ) -> Reply {
         self.trace.count("server.files", records.len() as u64);
         let findings: usize =
             records.iter().filter_map(|r| r.report.as_ref()).map(|r| r.findings.len()).sum();
         self.trace.count("server.findings", findings as u64);
 
-        let payload = render_payload(req, records, scan_stats);
-        let errored = !file_errors.is_empty() || records.iter().any(|r| !r.errors.is_empty());
+        let payload = emit::render_records(
+            req.format,
+            &records,
+            req.stats.then_some(&scan.stats),
+            None,
+            |_, _| {},
+        );
+        let exit = emit::exit_code(&records, !file_errors.is_empty());
         let mut header_fields = vec![
             ("schema", emit::s(PROTOCOL)),
             ("id", id.to_value()),
             ("ok", JsonValue::Bool(true)),
-            ("op", emit::s(if delta.is_some() { "delta" } else { "analyze" })),
-            ("exit", JsonValue::U64(exit_code(records, errored))),
+            ("op", emit::s(if req.delta { "delta" } else { "analyze" })),
+            ("exit", JsonValue::U64(exit.into())),
         ];
-        header_fields.extend(delta.map(|d| ("delta", d)));
+        if let Some(delta) = scan.delta {
+            self.trace
+                .count("server.delta-changed", (delta.changed_files + delta.added_files) as u64);
+            self.trace.count("server.delta-unchanged", delta.unchanged_files as u64);
+            self.trace.count("server.delta-cone-functions", delta.cone_functions as u64);
+            self.trace.count("server.delta-fn-reanalyzed", delta.functions_reanalyzed as u64);
+            self.trace.count("server.delta-fn-reused", delta.functions_reused as u64);
+            let counters = obj(vec![
+                ("tracked", JsonValue::U64(delta.tracked_files as u64)),
+                ("unchanged", JsonValue::U64(delta.unchanged_files as u64)),
+                ("changed", JsonValue::U64(delta.changed_files as u64)),
+                ("added", JsonValue::U64(delta.added_files as u64)),
+                ("removed", JsonValue::U64(delta.removed_files as u64)),
+                ("cone_functions", JsonValue::U64(delta.cone_functions as u64)),
+                ("changed_functions", JsonValue::U64(delta.changed_functions as u64)),
+                ("tracked_functions", JsonValue::U64(delta.tracked_functions as u64)),
+                ("functions_reanalyzed", JsonValue::U64(delta.functions_reanalyzed as u64)),
+                ("functions_reused", JsonValue::U64(delta.functions_reused as u64)),
+                ("stat_fastpath_hits", JsonValue::U64(delta.stat_fastpath_hits as u64)),
+            ]);
+            header_fields.push(("delta", counters));
+        }
         if !file_errors.is_empty() {
             header_fields.push((
                 "file_errors",
-                JsonValue::Arr(file_errors.iter().map(|e| emit::s(e.clone())).collect()),
+                JsonValue::Arr(file_errors.into_iter().map(emit::s).collect()),
             ));
         }
         header_fields.push(("bytes", JsonValue::U64(payload.len() as u64)));
-        Reply { header: emit::render_compact(&obj(header_fields)), payload, shutdown: false }
-    }
-
-    /// Serves one `delta` request: an incremental rescan through the
-    /// engine's tracked index. The payload is the same envelope a full
-    /// `analyze` of the same paths would return, byte for byte; the
-    /// header carries the invalidation counters.
-    ///
-    /// The first delta against a cold engine seeds the tracked index
-    /// from the cache directory's manifest, so a fresh daemon picks up
-    /// where a `pncheck --delta` run (or a previous daemon) left off.
-    fn analyze_delta(&self, id: &RequestId, req: &AnalyzeRequest, engine: &BatchEngine) -> Reply {
-        let (paths, mut file_errors) = cliopts::expand_inputs(&req.paths);
-        let jobs = req.jobs.unwrap_or_else(|| engine.jobs());
-        // `delta_scan` runs the whole operation — manifest seeding,
-        // rescan, manifest + summary-store persistence — under the
-        // engine's delta gate, so a concurrent request on the same
-        // engine can never snapshot a half-updated tracked index.
-        let (outcomes, scan_stats, delta) = engine.delta_scan(&paths, req.changed.as_deref(), jobs);
-
-        let mut records: Vec<FileRecord> = Vec::with_capacity(outcomes.len());
-        for o in &outcomes {
-            if let Some(e) = &o.read_error {
-                // Same shape the full-scan path produces for an
-                // unreadable file: named in `file_errors`, no record.
-                file_errors.push(format!("{}: {e}", o.path));
-                continue;
-            }
-            records.push(FileRecord {
-                path: o.path.clone(),
-                report: o.analysis.as_ref().map(|a| a.report.clone()),
-                errors: o.errors.clone(),
-            });
-        }
-
-        self.trace.count("server.delta-changed", (delta.changed_files + delta.added_files) as u64);
-        self.trace.count("server.delta-unchanged", delta.unchanged_files as u64);
-        self.trace.count("server.delta-cone-functions", delta.cone_functions as u64);
-        self.trace.count("server.delta-fn-reanalyzed", delta.functions_reanalyzed as u64);
-        self.trace.count("server.delta-fn-reused", delta.functions_reused as u64);
-
-        let counters = obj(vec![
-            ("tracked", JsonValue::U64(delta.tracked_files as u64)),
-            ("unchanged", JsonValue::U64(delta.unchanged_files as u64)),
-            ("changed", JsonValue::U64(delta.changed_files as u64)),
-            ("added", JsonValue::U64(delta.added_files as u64)),
-            ("removed", JsonValue::U64(delta.removed_files as u64)),
-            ("cone_functions", JsonValue::U64(delta.cone_functions as u64)),
-            ("changed_functions", JsonValue::U64(delta.changed_functions as u64)),
-            ("tracked_functions", JsonValue::U64(delta.tracked_functions as u64)),
-            ("functions_reanalyzed", JsonValue::U64(delta.functions_reanalyzed as u64)),
-            ("functions_reused", JsonValue::U64(delta.functions_reused as u64)),
-            ("stat_fastpath_hits", JsonValue::U64(delta.stat_fastpath_hits as u64)),
-        ]);
-        self.envelope_reply(id, req, &records, &scan_stats, &file_errors, Some(counters))
+        Ok(Reply { header: emit::render_compact(&obj(header_fields)), payload, shutdown: false })
     }
 
     /// The `pncheckd-stats/1` payload: request counters, connection
@@ -1606,47 +1552,6 @@ impl<S: Read + Write> Conn<S> {
     /// reaped, no matter how long ago its last activity was.
     fn idle_reapable(&self, pending: usize, idle: Duration, now_ns: u64) -> bool {
         pending == 0 && self.flushed() && self.stale(idle, now_ns)
-    }
-}
-
-/// Renders the analyze/delta payload in the request's format — exactly
-/// the envelope `pncheck` prints for the same records, so the two ops
-/// (and the CLI) can never drift apart.
-fn render_payload(req: &AnalyzeRequest, records: &[FileRecord], scan_stats: &BatchStats) -> String {
-    match req.format {
-        OutputFormat::Json => {
-            let embedded = req.stats.then_some(scan_stats);
-            emit::render_json(records, embedded, None)
-        }
-        OutputFormat::Sarif => emit::render_sarif(records),
-        OutputFormat::Text => {
-            use std::fmt::Write as _;
-            let mut out = String::new();
-            for record in records {
-                let Some(report) = &record.report else { continue };
-                let _ = write!(out, "{report}");
-                for finding in &report.findings {
-                    let _ = writeln!(out, "    hint: {}", finding.kind.suggestion());
-                }
-            }
-            out
-        }
-    }
-}
-
-/// The CLI's exit rule: 2 on any read/parse error, 1 on warning-level
-/// findings, 0 otherwise.
-fn exit_code(records: &[FileRecord], had_errors: bool) -> u64 {
-    let any_findings = records
-        .iter()
-        .filter_map(|r| r.report.as_ref())
-        .any(|r| r.detected_at(crate::findings::Severity::Warning));
-    if had_errors {
-        2
-    } else if any_findings {
-        1
-    } else {
-        0
     }
 }
 

@@ -5,7 +5,8 @@
 use placement_new_attacks::corpus::workload;
 use placement_new_attacks::detector::{
     parse_program, source_fingerprint, Analyzer, AnalyzerConfig, BatchEngine, CacheLookup, Expr,
-    FindingKind, Matrix, Oracle, PersistentCache, Program, ProgramBuilder, Severity, Ty,
+    FindingKind, Matrix, Oracle, PersistentCache, Program, ProgramBuilder, Severity, SummaryStore,
+    Ty,
 };
 
 fn summary_analyzer() -> Analyzer {
@@ -63,6 +64,31 @@ fn summary_findings_match_inline_on_the_full_generated_corpus() {
         assert_eq!(s, i, "{}: summary and inline reports diverge", program.name);
         assert_eq!(s.to_string(), i.to_string(), "{}: rendering diverges", program.name);
     }
+}
+
+#[test]
+fn store_replay_matches_a_walk_on_the_generated_corpus() {
+    // A function whose closure fingerprint hits the cross-file store
+    // replays the stored entry summary instead of being walked. Once
+    // every file has warmed the store, each replaying analysis must
+    // equal a store-free one exactly: report, summary records and
+    // finding pool.
+    let programs = workload::corpus(7, 1000);
+    let analyzer = summary_analyzer();
+    let store = SummaryStore::new();
+    for program in &programs {
+        analyzer.analyze_full(program, None, Some(&store));
+    }
+    let warmed = store.hits();
+    for program in &programs {
+        assert_eq!(
+            analyzer.analyze_full(program, None, Some(&store)),
+            analyzer.analyze_full(program, None, None),
+            "{}: store replay diverges from a walk",
+            program.name
+        );
+    }
+    assert!(store.hits() > warmed, "the warmed store served no replay");
 }
 
 #[test]
