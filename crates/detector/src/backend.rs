@@ -42,9 +42,10 @@ pub(crate) fn temp_nonce() -> u64 {
 }
 
 /// Which on-disk layout a cache directory uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// One `.pnc` file per entry (multi-process safe; the default).
+    #[default]
     Dir,
     /// One append-only indexed file, `cache.pnxi` (single writer,
     /// fewer inodes, one sequential read to warm).
@@ -82,8 +83,6 @@ impl BackendKind {
 /// across scan worker threads, so every method takes `&self` and must
 /// be internally synchronized.
 pub trait CacheBackend: Send + Sync + fmt::Debug {
-    /// The flag spelling of this backend ("dir", "indexed").
-    fn name(&self) -> &'static str;
     /// Raw bytes of the entry stored under `key`, if any. Backends do
     /// not validate entry contents — the caller's decode layer
     /// classifies stale and corrupt bytes.
@@ -142,10 +141,6 @@ impl DirBackend {
 }
 
 impl CacheBackend for DirBackend {
-    fn name(&self) -> &'static str {
-        "dir"
-    }
-
     fn load(&self, key: u128) -> Option<Vec<u8>> {
         fs::read(self.entry_path(key)).ok()
     }
@@ -469,10 +464,6 @@ fn compact_bytes(bytes: &[u8], scan: &Scan) -> Vec<u8> {
 }
 
 impl CacheBackend for IndexedBackend {
-    fn name(&self) -> &'static str {
-        "indexed"
-    }
-
     fn load(&self, key: u128) -> Option<Vec<u8>> {
         let mut inner = self.lock();
         let slot = *inner.index.get(&key)?;

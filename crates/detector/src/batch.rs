@@ -56,7 +56,8 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::AddAssign;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -89,7 +90,10 @@ pub fn fingerprint(program: &Program) -> u128 {
     fnv128(pretty(program).as_bytes())
 }
 
-/// Counters describing one [`BatchEngine::scan_with_stats`] run.
+/// Counters describing one scan: a [`BatchEngine::scan_with_stats`],
+/// [`BatchEngine::scan_sources_with_stats`] or [`BatchEngine::delta_scan`]
+/// run. The counters add up the [`Tally`] of this scan's own files, so
+/// scans sharing an engine never count each other's work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchStats {
     /// Programs scanned.
@@ -144,27 +148,92 @@ impl BatchStats {
     }
 }
 
-/// Lifetime cache counters for a [`BatchEngine`].
+/// What one file's trip through the cache tiers counted, each event
+/// once, by the code that saw it. A scan's [`BatchStats`] add up its
+/// files' tallies, and the engine's lifetime [`CacheStats`] add up
+/// every file's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Tally {
+    /// Served from the in-memory store.
+    pub hits: u64,
+    /// Missed the in-memory store and ran the analyzer.
+    pub misses: u64,
+    /// Went through the parser.
+    pub parses: u64,
+    /// Served whole from the on-disk cache.
+    pub disk_hits: u64,
+    /// Probed the on-disk cache and found no usable entry (corrupt
+    /// entries included).
+    pub disk_misses: u64,
+    /// Probed the on-disk cache and found a broken entry.
+    pub disk_corrupt: u64,
+    /// On-disk entries written.
+    pub disk_stores: u64,
+    /// On-disk writes that did not land (full disk, directory removed
+    /// mid-run). Each one degrades that file to uncached; the scan
+    /// still succeeds.
+    pub disk_write_errors: u64,
+}
+
+impl Tally {
+    /// One on-disk probe's tally.
+    fn probe(lookup: &CacheLookup) -> Tally {
+        match lookup {
+            CacheLookup::Hit(_) => Tally { disk_hits: 1, ..Tally::default() },
+            CacheLookup::Miss => Tally { disk_misses: 1, ..Tally::default() },
+            CacheLookup::Corrupt => Tally { disk_misses: 1, disk_corrupt: 1, ..Tally::default() },
+        }
+    }
+
+    /// One on-disk write's tally.
+    fn write(landed: bool) -> Tally {
+        Tally {
+            disk_stores: landed.into(),
+            disk_write_errors: (!landed).into(),
+            ..Tally::default()
+        }
+    }
+}
+
+impl AddAssign for Tally {
+    fn add_assign(&mut self, t: Tally) {
+        self.hits += t.hits;
+        self.misses += t.misses;
+        self.parses += t.parses;
+        self.disk_hits += t.disk_hits;
+        self.disk_misses += t.disk_misses;
+        self.disk_corrupt += t.disk_corrupt;
+        self.disk_stores += t.disk_stores;
+        self.disk_write_errors += t.disk_write_errors;
+    }
+}
+
+/// Lifetime counters and current sizes of a [`BatchEngine`].
 ///
-/// Snapshots are *consistent*: all fields are copied under one lock,
-/// so `hits + misses == lookups` holds in every snapshot — a stats
-/// reader racing live requests can never observe a torn pair.
+/// The counters are copied under one lock, so `counts.hits +
+/// counts.misses == lookups` holds in every snapshot — a stats reader
+/// racing live requests can never observe a torn pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Scans answered from the in-memory store since construction.
-    pub hits: u64,
-    /// Scans that ran the analyzer since construction.
-    pub misses: u64,
+    /// Every scanned file's [`Tally`] since construction. Manifest and
+    /// summary-blob write failures count in `disk_write_errors` too.
+    pub counts: Tally,
     /// Store lookups that ended in a hit or an analysis since
-    /// construction — always exactly `hits + misses` within one
-    /// snapshot.
+    /// construction — always exactly `counts.hits + counts.misses`
+    /// within one snapshot.
     pub lookups: u64,
     /// Store entries under a program key (builder-program scans).
     pub entries: usize,
     /// Store entries under a source key (source-text and delta scans).
     pub source_entries: usize,
-    /// Source texts parsed since construction.
-    pub parses: u64,
+    /// Paths in the tracked index.
+    pub tracked_files: usize,
+    /// Entries in the cross-file summary store.
+    pub summary_entries: usize,
+    /// Summary-store hits since construction.
+    pub summary_hits: u64,
+    /// Summary-store misses since construction.
+    pub summary_misses: u64,
 }
 
 /// One replica's slice of the 128-bit fingerprint space
@@ -183,26 +252,6 @@ impl ShardSpec {
     pub fn owns(&self, key: u128) -> bool {
         self.count <= 1 || key % u128::from(self.count) == u128::from(self.index)
     }
-}
-
-/// The engine's live hit/miss/parse counters, mutated and snapshotted
-/// under one mutex so readers never see a half-updated set (the
-/// `pncheckd-stats/1` torn-pair bug: `hits + misses != lookups`).
-/// The hot path already takes the store mutex, so the extra
-/// uncontended lock is noise next to a parse or an analysis.
-#[derive(Debug, Clone, Copy, Default)]
-struct EngineCounters {
-    hits: u64,
-    misses: u64,
-    lookups: u64,
-    parses: u64,
-}
-
-/// Counter readings taken when a scan starts, for its per-scan stats.
-struct ScanStart {
-    ns: u64,
-    counters: EngineCounters,
-    persistent: (u64, u64, u64, u64),
 }
 
 /// A key of the in-memory store. The two kinds are separate key
@@ -252,16 +301,18 @@ struct Analyzed {
     functions_changed: usize,
     functions_reanalyzed: usize,
     functions_reused: usize,
+    tally: Tally,
 }
 
 impl Analyzed {
     /// A tier hit: every function reused, none walked.
-    fn served(analysis: Arc<CachedAnalysis>, from_disk_cache: bool) -> Self {
+    fn served(analysis: Arc<CachedAnalysis>, from_disk_cache: bool, tally: Tally) -> Self {
         Analyzed {
             functions_reused: analysis.summaries.len(),
             analysis: Some(analysis),
             from_disk_cache,
             from_source_cache: !from_disk_cache,
+            tally,
             ..Analyzed::default()
         }
     }
@@ -300,9 +351,9 @@ pub struct TrackedOutcome {
     pub errors: Vec<ParseError>,
     /// The I/O error message, when the file could not be read.
     pub read_error: Option<String>,
-    /// The file went through the parser/analyzer (or a cache tier below
-    /// the tracked index) this scan — false when served straight from
-    /// the tracked index as unchanged.
+    /// The file went through the parser and the analyzer this scan —
+    /// false when served from the tracked index as unchanged, or from
+    /// the in-memory store or the on-disk cache after a re-read.
     pub reanalyzed: bool,
     /// An on-disk entry existed but was corrupt; the file was
     /// re-analyzed from source and the entry rewritten.
@@ -404,7 +455,9 @@ pub struct BatchEngine {
     /// The in-memory tier: every resident analysis, shared by reference
     /// with the tracked index.
     analyses: Mutex<HashMap<Key, Arc<CachedAnalysis>>>,
-    counters: Mutex<EngineCounters>,
+    /// Lifetime counts and lookups, updated and read whole under one
+    /// lock; [`Self::cache_stats`] fills in the sizes.
+    lifetime: Mutex<CacheStats>,
     trace: Option<Arc<TraceCollector>>,
     persistent: Option<PersistentCache>,
     shard: Option<ShardSpec>,
@@ -422,10 +475,6 @@ pub struct BatchEngine {
     /// store persistence) against each other, so no request ever
     /// snapshots a half-updated tracked index.
     delta_gate: Mutex<()>,
-    /// Lifetime sums of the per-rescan `functions_reanalyzed` /
-    /// `functions_reused` counters, for daemon stats.
-    fn_reanalyzed_total: AtomicU64,
-    fn_reused_total: AtomicU64,
     /// Time source for scan/rescan elapsed measurements. The real
     /// [`SystemClock`] by default; the DST harness threads a
     /// [`crate::clock::SimClock`] through so stat sweeps never read
@@ -447,7 +496,7 @@ impl BatchEngine {
             analyzer,
             jobs,
             analyses: Mutex::new(HashMap::new()),
-            counters: Mutex::new(EngineCounters::default()),
+            lifetime: Mutex::new(CacheStats::default()),
             trace: None,
             persistent: None,
             shard: None,
@@ -455,8 +504,6 @@ impl BatchEngine {
             summary_store: Arc::new(SummaryStore::new()),
             function_granularity: true,
             delta_gate: Mutex::new(()),
-            fn_reanalyzed_total: AtomicU64::new(0),
-            fn_reused_total: AtomicU64::new(0),
             clock: Arc::new(SystemClock::default()),
         }
     }
@@ -522,15 +569,6 @@ impl BatchEngine {
         &self.summary_store
     }
 
-    /// Lifetime `(functions_reanalyzed, functions_reused)` sums across
-    /// every delta rescan this engine has served.
-    pub fn function_delta_totals(&self) -> (u64, u64) {
-        (
-            self.fn_reanalyzed_total.load(Ordering::Relaxed),
-            self.fn_reused_total.load(Ordering::Relaxed),
-        )
-    }
-
     /// The on-disk cache tier, if one is attached.
     pub fn persistent_cache(&self) -> Option<&PersistentCache> {
         self.persistent.as_ref()
@@ -549,10 +587,14 @@ impl BatchEngine {
     /// into the slot of the program they took, and each program's
     /// analysis is deterministic.
     pub fn scan_with_stats(&self, programs: &[Program]) -> (Vec<Report>, BatchStats) {
-        let (reports, stats) = self
-            .run_queue(programs, self.jobs, |program| self.analyze_program(program).report.clone());
+        let start_ns = self.clock.now_ns();
+        let (reports, tally) = self.run_queue(programs, self.jobs, |program| {
+            let (analysis, tally) = self.analyze_program(program);
+            (analysis.report.clone(), tally)
+        });
         let findings = reports.iter().map(|r| r.findings.len()).sum();
-        (reports, BatchStats { findings, ..stats })
+        let jobs = workers(self.jobs, programs.len());
+        (reports, self.scan_stats(start_ns, tally, programs.len(), findings, jobs))
     }
 
     /// Scans raw source texts through every cache tier, returning one
@@ -579,16 +621,18 @@ impl BatchEngine {
         sources: &[S],
         jobs: usize,
     ) -> (Vec<SourceOutcome>, BatchStats) {
-        let (outcomes, stats) = self.run_queue(sources, jobs, |source| {
+        let start_ns = self.clock.now_ns();
+        let (outcomes, tally) = self.run_queue(sources, jobs, |source| {
             let source = source.as_ref();
             let out = self.analyze_source(source, source_fingerprint(source), None);
-            SourceOutcome {
+            let outcome = SourceOutcome {
                 report: out.analysis.map(|a| a.report.clone()),
                 errors: out.errors,
                 from_disk_cache: out.from_disk_cache,
                 from_source_cache: out.from_source_cache,
                 cache_corrupt: out.cache_corrupt,
-            }
+            };
+            (outcome, out.tally)
         });
         // `programs` counts inputs that produced a report — parse
         // failures are files, not programs — matching the program-based
@@ -596,7 +640,8 @@ impl BatchEngine {
         let programs = outcomes.iter().filter(|o| o.report.is_some()).count();
         let findings =
             outcomes.iter().filter_map(|o| o.report.as_ref()).map(|r| r.findings.len()).sum();
-        (outcomes, BatchStats { programs, findings, ..stats })
+        let jobs = workers(jobs, sources.len());
+        (outcomes, self.scan_stats(start_ns, tally, programs, findings, jobs))
     }
 
     /// Scans files **by path**, incrementally, against the engine's
@@ -656,7 +701,9 @@ impl BatchEngine {
         changed_hint: Option<&[String]>,
         jobs: usize,
     ) -> (Vec<TrackedOutcome>, BatchStats, DeltaStats) {
-        let start = self.scan_start();
+        let start_ns = self.clock.now_ns();
+        // The scan's counts: the stat sweep's pulls plus both queues.
+        let mut tally = Tally::default();
         let hint: Option<HashSet<&str>> =
             changed_hint.map(|c| c.iter().map(String::as_str).collect());
         let mut delta = DeltaStats::default();
@@ -696,7 +743,12 @@ impl BatchEngine {
                     // precise across restarts.
                     let old = match &entry.analysis {
                         Some(a) => Some(Arc::clone(a)),
-                        None if entry.errors.is_empty() => self.hydrate(entry.key),
+                        None if entry.errors.is_empty() => {
+                            let (old, pulled) = self.hydrate(entry.key);
+                            self.record(pulled);
+                            tally += pulled;
+                            old
+                        }
                         None => None,
                     };
                     delta.changed_files += 1;
@@ -738,7 +790,9 @@ impl BatchEngine {
             // Pull manifest-seeded results off disk in parallel, with
             // the tracked lock released; a missing or corrupt entry
             // degrades to a re-analysis (and heals the cache).
-            let (hydrated, _) = self.run_queue(&hydrate, jobs, |&(_, _, key)| self.hydrate(key));
+            let (hydrated, pulled) =
+                self.run_queue(&hydrate, jobs, |&(_, _, key)| self.hydrate(key));
+            tally += pulled;
             let mut tracked = self.tracked.lock().expect("tracked index poisoned");
             for (&(i, path, _), analysis) in hydrate.iter().zip(hydrated) {
                 let Some(analysis) = analysis else {
@@ -760,8 +814,9 @@ impl BatchEngine {
             }
         }
 
-        let (rescanned, _) = self
+        let (rescanned, read) = self
             .run_queue(&changed, jobs, |(_, path, old)| self.read_and_track(path, old.as_deref()));
+        tally += read;
         for (&(i, _, _), (outcome, functions_changed)) in changed.iter().zip(rescanned) {
             delta.changed_functions += functions_changed;
             delta.cone_functions += outcome.functions_reanalyzed;
@@ -769,8 +824,6 @@ impl BatchEngine {
             delta.functions_reused += outcome.functions_reused;
             slots[i] = Some(outcome);
         }
-        self.fn_reanalyzed_total.fetch_add(delta.functions_reanalyzed as u64, Ordering::Relaxed);
-        self.fn_reused_total.fetch_add(delta.functions_reused as u64, Ordering::Relaxed);
         {
             let tracked = self.tracked.lock().expect("tracked index poisoned");
             delta.tracked_files = tracked.len();
@@ -789,8 +842,8 @@ impl BatchEngine {
             .filter_map(|o| o.analysis.as_ref())
             .map(|a| a.report.findings.len())
             .sum();
-        let workers = jobs.max(1).min(changed.len().max(1));
-        let stats = BatchStats { findings, ..self.stats_since(&start, programs, workers) };
+        let stats =
+            self.scan_stats(start_ns, tally, programs, findings, workers(jobs, changed.len()));
         if let Some(t) = &self.trace {
             t.count("batch.delta-changed", (delta.changed_files + delta.added_files) as u64);
             t.count("batch.delta-unchanged", delta.unchanged_files as u64);
@@ -817,10 +870,12 @@ impl BatchEngine {
     /// unsaved entries. Best-effort, like every cache write.
     fn save_summary_store(&self) {
         if let Some(pc) = &self.persistent {
-            if self.summary_store.is_dirty()
-                && pc.store_summary_entries(&self.summary_store.snapshot())
-            {
-                self.summary_store.mark_clean();
+            if self.summary_store.is_dirty() {
+                if pc.store_summary_entries(&self.summary_store.snapshot()) {
+                    self.summary_store.mark_clean();
+                } else {
+                    self.record(Tally::write(false));
+                }
             }
         }
     }
@@ -852,7 +907,7 @@ impl BatchEngine {
     /// Writes the tracked index to the attached persistent cache's
     /// manifest for the next process to seed from. Best-effort, like
     /// every cache write: returns false only when a write was attempted
-    /// and did not land.
+    /// and did not land, which counts as a lifetime write error.
     fn save_tracked_manifest(&self) -> bool {
         let Some(pc) = &self.persistent else {
             return true;
@@ -869,7 +924,11 @@ impl BatchEngine {
                 })
                 .collect()
         };
-        pc.store_manifest(&render_manifest(&mut rows))
+        let landed = pc.store_manifest(&render_manifest(&mut rows));
+        if !landed {
+            self.record(Tally::write(false));
+        }
+        landed
     }
 
     /// Paths currently in the tracked index.
@@ -879,12 +938,16 @@ impl BatchEngine {
 
     /// Reads, analyzes, and (re-)registers one path in the tracked
     /// index, with the file's prior analysis (if any) available for a
-    /// function-granular partial re-analysis. Returns the outcome and
-    /// the analysis's changed-function count. Stat runs *before* the
-    /// read: if the file changes between the two, the recorded mtime
-    /// is older than the analyzed content, so the next rescan errs
-    /// toward re-analysis, never staleness.
-    fn read_and_track(&self, path: &str, old: Option<&CachedAnalysis>) -> (TrackedOutcome, usize) {
+    /// function-granular partial re-analysis. Returns the outcome, the
+    /// analysis's changed-function count and the file's tally. Stat
+    /// runs *before* the read: if the file changes between the two, the
+    /// recorded mtime is older than the analyzed content, so the next
+    /// rescan errs toward re-analysis, never staleness.
+    fn read_and_track(
+        &self,
+        path: &str,
+        old: Option<&CachedAnalysis>,
+    ) -> ((TrackedOutcome, usize), Tally) {
         let meta = fs::metadata(path);
         let text = match fs::read_to_string(path) {
             Ok(t) => t,
@@ -894,7 +957,7 @@ impl BatchEngine {
                     read_error: Some(e.to_string()),
                     ..TrackedOutcome::unchanged(path, None, Vec::new())
                 };
-                return (outcome, 0);
+                return ((outcome, 0), Tally::default());
             }
         };
         let (len, mtime_ns) =
@@ -921,22 +984,27 @@ impl BatchEngine {
             functions_reanalyzed: out.functions_reanalyzed,
             functions_reused: out.functions_reused,
         };
-        (outcome, out.functions_changed)
+        ((outcome, out.functions_changed), out.tally)
     }
 
     /// A manifest-seeded file's analysis (current or prior), pulled off
-    /// the disk tier by source key. An owned key also becomes resident
-    /// in the store, so the store and the tracked index share the one
-    /// allocation.
-    fn hydrate(&self, key: u128) -> Option<Arc<CachedAnalysis>> {
-        let CacheLookup::Hit(entry) = self.persistent.as_ref()?.get(key) else {
-            return None;
+    /// the disk tier by source key, and the probe's tally. An owned key
+    /// also becomes resident in the store, so the store and the tracked
+    /// index share the one allocation.
+    fn hydrate(&self, key: u128) -> (Option<Arc<CachedAnalysis>>, Tally) {
+        let Some(pc) = &self.persistent else {
+            return (None, Tally::default());
+        };
+        let lookup = pc.get(key);
+        let tally = Tally::probe(&lookup);
+        let CacheLookup::Hit(entry) = lookup else {
+            return (None, tally);
         };
         let entry = Arc::new(entry);
         if self.owns(key) {
             self.insert(Key::Source(key), Arc::clone(&entry));
         }
-        Some(entry)
+        (Some(entry), tally)
     }
 
     /// Modification time as nanoseconds since the Unix epoch (0 when
@@ -948,90 +1016,86 @@ impl BatchEngine {
             .map_or(0, |d| d.as_nanos())
     }
 
-    /// Drains `items` through the worker pool, preserving input order,
-    /// and accounts the cache tiers over the run. `findings` in the
-    /// returned stats is left at 0 for the caller to fill.
+    /// Drains `items` through the worker pool, preserving input order.
+    /// Each item's tally joins the engine's lifetime counters as the
+    /// item finishes; their sum comes back with the results.
     fn run_queue<I: Sync, R: Send>(
         &self,
         items: &[I],
         jobs: usize,
-        work: impl Fn(&I) -> R + Sync,
-    ) -> (Vec<R>, BatchStats) {
-        let start = self.scan_start();
-        let workers = jobs.max(1).min(items.len().max(1));
+        work: impl Fn(&I) -> (R, Tally) + Sync,
+    ) -> (Vec<R>, Tally) {
+        let start_ns = self.clock.now_ns();
         let cursor = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
+        let results: Mutex<Vec<Option<(R, Tally)>>> =
+            Mutex::new((0..items.len()).map(|_| None).collect());
         thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 0..workers(jobs, items.len()) {
                 scope.spawn(|| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(i) else {
                         break;
                     };
-                    let result = work(item);
-                    results.lock().expect("batch results poisoned")[i] = Some(result);
+                    let (result, tally) = work(item);
+                    self.record(tally);
+                    results.lock().expect("batch results poisoned")[i] = Some((result, tally));
                 });
             }
         });
+        let mut sum = Tally::default();
         let results: Vec<R> = results
             .into_inner()
             .expect("batch results poisoned")
             .into_iter()
-            .map(|slot| slot.expect("every queue slot is filled before the scope ends"))
+            .map(|slot| {
+                let (result, tally) =
+                    slot.expect("every queue slot is filled before the scope ends");
+                sum += tally;
+                result
+            })
             .collect();
 
-        let stats = self.stats_since(&start, items.len(), workers);
         if let Some(t) = &self.trace {
             t.count("batch.programs", items.len() as u64);
-            t.record_pass("batch.scan", stats.elapsed);
+            t.record_pass("batch.scan", self.since(start_ns));
         }
-        (results, stats)
+        (results, sum)
     }
 
-    fn scan_start(&self) -> ScanStart {
-        ScanStart {
-            ns: self.clock.now_ns(),
-            counters: self.counters_snapshot(),
-            persistent: self.persistent_snapshot(),
-        }
-    }
-
-    /// The counters a scan that began at `start` accounts for, with
-    /// `findings` left at 0.
-    fn stats_since(&self, start: &ScanStart, programs: usize, jobs: usize) -> BatchStats {
-        let persistent = self.persistent_snapshot();
-        let after = self.counters_snapshot();
-        let before = &start.counters;
+    /// The stats of a scan that began at `start_ns` and counted `tally`.
+    fn scan_stats(
+        &self,
+        start_ns: u64,
+        tally: Tally,
+        programs: usize,
+        findings: usize,
+        jobs: usize,
+    ) -> BatchStats {
         BatchStats {
             programs,
-            findings: 0,
-            cache_hits: after.hits - before.hits,
-            cache_misses: after.misses - before.misses,
-            elapsed: Duration::from_nanos(self.clock.now_ns().saturating_sub(start.ns)),
+            findings,
+            cache_hits: tally.hits,
+            cache_misses: tally.misses,
+            elapsed: self.since(start_ns),
             jobs,
-            parses: after.parses - before.parses,
-            persistent_hits: persistent.0 - start.persistent.0,
-            persistent_misses: persistent.1 - start.persistent.1,
-            persistent_corrupt: persistent.2 - start.persistent.2,
-            persistent_write_errors: persistent.3 - start.persistent.3,
+            parses: tally.parses,
+            persistent_hits: tally.disk_hits,
+            persistent_misses: tally.disk_misses,
+            persistent_corrupt: tally.disk_corrupt,
+            persistent_write_errors: tally.disk_write_errors,
         }
     }
 
-    fn persistent_snapshot(&self) -> (u64, u64, u64, u64) {
-        self.persistent.as_ref().map_or((0, 0, 0, 0), |pc| {
-            let s = pc.stats();
-            (s.hits, s.misses, s.corrupt, s.write_errors)
-        })
+    fn since(&self, start_ns: u64) -> Duration {
+        Duration::from_nanos(self.clock.now_ns().saturating_sub(start_ns))
     }
 
-    /// A consistent copy of the live counters.
-    fn counters_snapshot(&self) -> EngineCounters {
-        *self.counters.lock().expect("engine counters poisoned")
-    }
-
-    /// Applies one counter update atomically with respect to snapshots.
-    fn bump(&self, update: impl FnOnce(&mut EngineCounters)) {
-        update(&mut self.counters.lock().expect("engine counters poisoned"));
+    /// Adds `tally` to the lifetime counters, atomically with respect to
+    /// snapshots.
+    fn record(&self, tally: Tally) {
+        let mut lifetime = self.lifetime.lock().expect("engine counters poisoned");
+        lifetime.counts += tally;
+        lifetime.lookups += tally.hits + tally.misses;
     }
 
     /// Whether this engine's shard (if any) owns `key`'s warm state.
@@ -1039,14 +1103,12 @@ impl BatchEngine {
         self.shard.is_none_or(|s| s.owns(key))
     }
 
-    /// The resident entry under `key`, counted as a hit (and traced as
-    /// `event`) when present. Only the `Arc` is cloned under the lock.
-    fn lookup(&self, key: Key, event: &str) -> Option<Arc<CachedAnalysis>> {
+    /// The resident entry under `key`, counted in `tally` as a hit (and
+    /// traced as `event`) when present. Only the `Arc` is cloned under
+    /// the lock.
+    fn lookup(&self, key: Key, event: &str, tally: &mut Tally) -> Option<Arc<CachedAnalysis>> {
         let hit = self.analyses.lock().expect("analysis store poisoned").get(&key).cloned()?;
-        self.bump(|c| {
-            c.lookups += 1;
-            c.hits += 1;
-        });
+        tally.hits += 1;
         if let Some(t) = &self.trace {
             t.count(event, 1);
         }
@@ -1054,11 +1116,8 @@ impl BatchEngine {
     }
 
     /// Counts one lookup that ended in an analysis.
-    fn count_miss(&self) {
-        self.bump(|c| {
-            c.lookups += 1;
-            c.misses += 1;
-        });
+    fn count_miss(&self, tally: &mut Tally) {
+        tally.misses += 1;
         if let Some(t) = &self.trace {
             t.count("batch.cache-miss", 1);
         }
@@ -1070,24 +1129,25 @@ impl BatchEngine {
 
     /// Analyzes one builder program through the store, under its
     /// program key.
-    fn analyze_program(&self, program: &Program) -> Arc<CachedAnalysis> {
+    fn analyze_program(&self, program: &Program) -> (Arc<CachedAnalysis>, Tally) {
         let key = fingerprint(program);
         let owned = self.owns(key);
+        let mut tally = Tally::default();
         if owned {
-            if let Some(hit) = self.lookup(Key::Program(key), "batch.cache-hit") {
-                return hit;
+            if let Some(hit) = self.lookup(Key::Program(key), "batch.cache-hit", &mut tally) {
+                return (hit, tally);
             }
         }
         // The lock is dropped during analysis: concurrent misses on the
         // same key may both analyze (identical, deterministic results),
         // but workers never serialize behind a slow analysis.
-        self.count_miss();
+        self.count_miss(&mut tally);
         let store = (owned && self.function_granularity).then_some(&*self.summary_store);
         let entry = Arc::new(self.analyzer.analyze_full(program, self.trace.as_deref(), store));
         if owned {
             self.insert(Key::Program(key), Arc::clone(&entry));
         }
-        entry
+        (entry, tally)
     }
 
     /// Analyzes one source text (whose [`source_fingerprint`] is `key`)
@@ -1103,25 +1163,24 @@ impl BatchEngine {
         // replicas split warm state instead of each accumulating all
         // of it.
         let owned = self.owns(key);
-        let mut cache_corrupt = false;
+        let mut tally = Tally::default();
         if owned {
-            if let Some(hit) = self.lookup(Key::Source(key), "batch.source-hit") {
-                return Analyzed::served(hit, false);
+            if let Some(hit) = self.lookup(Key::Source(key), "batch.source-hit", &mut tally) {
+                return Analyzed::served(hit, false, tally);
             }
             if let Some(pc) = &self.persistent {
-                let event = match pc.get(key) {
+                let lookup = pc.get(key);
+                tally += Tally::probe(&lookup);
+                let event = match lookup {
                     CacheLookup::Hit(entry) => {
                         if let Some(t) = &self.trace {
                             t.count("batch.persistent-hit", 1);
                         }
                         let entry = Arc::new(entry);
                         self.insert(Key::Source(key), Arc::clone(&entry));
-                        return Analyzed::served(entry, true);
+                        return Analyzed::served(entry, true, tally);
                     }
-                    CacheLookup::Corrupt => {
-                        cache_corrupt = true;
-                        "batch.persistent-corrupt"
-                    }
+                    CacheLookup::Corrupt => "batch.persistent-corrupt",
                     CacheLookup::Miss => "batch.persistent-miss",
                 };
                 if let Some(t) = &self.trace {
@@ -1131,19 +1190,20 @@ impl BatchEngine {
         } else if let Some(t) = &self.trace {
             t.count("batch.shard-unowned", 1);
         }
-        self.bump(|c| c.parses += 1);
+        let cache_corrupt = tally.disk_corrupt > 0;
+        tally.parses += 1;
         let program = match parse_program_recovering(source) {
             Ok(program) => program,
-            Err(errors) => return Analyzed { errors, cache_corrupt, ..Analyzed::default() },
+            Err(errors) => return Analyzed { errors, cache_corrupt, tally, ..Analyzed::default() },
         };
         // A concurrent request for the same text may have finished its
         // analysis while this one parsed.
         if let Some(hit) =
-            owned.then(|| self.lookup(Key::Source(key), "batch.source-hit")).flatten()
+            owned.then(|| self.lookup(Key::Source(key), "batch.source-hit", &mut tally)).flatten()
         {
-            return Analyzed::served(hit, false);
+            return Analyzed::served(hit, false, tally);
         }
-        self.count_miss();
+        self.count_miss(&mut tally);
         let store = (owned && self.function_granularity).then_some(&*self.summary_store);
         // The cone-only partial path is byte-identical to a whole-file
         // analysis (asserted in debug builds), so it feeds the same
@@ -1173,31 +1233,33 @@ impl BatchEngine {
         if owned {
             self.insert(Key::Source(key), Arc::clone(&entry));
             if let Some(pc) = &self.persistent {
-                pc.put(key, &entry);
+                tally += Tally::write(pc.put(key, &entry));
             }
         }
         out.analysis = Some(entry);
+        out.tally = tally;
         out
     }
 
-    /// Lifetime hit/miss/parse counters and the current store sizes.
-    /// The counters come from one consistent snapshot, so
-    /// `hits + misses == lookups` holds even while requests race this
-    /// read.
+    /// Lifetime counters and the current store sizes. The counters come
+    /// from one consistent snapshot, so `counts.hits + counts.misses ==
+    /// lookups` holds even while requests race this read.
     pub fn cache_stats(&self) -> CacheStats {
-        let counters = self.counters_snapshot();
+        let counters = *self.lifetime.lock().expect("engine counters poisoned");
         let (entries, source_entries) = {
             let analyses = self.analyses.lock().expect("analysis store poisoned");
             let programs = analyses.keys().filter(|k| matches!(k, Key::Program(_))).count();
             (programs, analyses.len() - programs)
         };
+        let store = &self.summary_store;
         CacheStats {
-            hits: counters.hits,
-            misses: counters.misses,
-            lookups: counters.lookups,
             entries,
             source_entries,
-            parses: counters.parses,
+            tracked_files: self.tracked_files(),
+            summary_entries: store.len(),
+            summary_hits: store.hits(),
+            summary_misses: store.misses(),
+            ..counters
         }
     }
 
@@ -1206,6 +1268,12 @@ impl BatchEngine {
     pub fn clear_cache(&self) {
         self.analyses.lock().expect("analysis store poisoned").clear();
     }
+}
+
+/// Workers a queue of `items` runs on: `jobs`, at least one, at most
+/// one per item.
+fn workers(jobs: usize, items: usize) -> usize {
+    jobs.max(1).min(items.max(1))
 }
 
 #[cfg(test)]
@@ -1321,7 +1389,7 @@ mod tests {
         let (_, stats) = engine.scan_with_stats(&programs);
         assert_eq!(stats.cache_misses, 4);
         let lifetime = engine.cache_stats();
-        assert_eq!(lifetime.misses, 8);
+        assert_eq!(lifetime.counts.misses, 8);
         assert_eq!(lifetime.entries, 4);
     }
 
@@ -1434,6 +1502,7 @@ mod tests {
         assert!(outcomes[0].cache_corrupt);
         assert!(!outcomes[0].from_disk_cache);
         assert_eq!(stats.persistent_corrupt, 1);
+        assert_eq!(stats.persistent_misses, 1, "a corrupt entry counts as a miss too");
         assert_eq!(stats.parses, 1, "corrupt entry forces a re-parse");
         assert!(outcomes[0].report.as_ref().unwrap().detected(), "re-analyzed from source");
 
@@ -1494,7 +1563,7 @@ mod tests {
             warm.iter().map(|o| &o.report).collect::<Vec<_>>(),
         );
         let lifetime = engine.cache_stats();
-        assert_eq!(lifetime.parses, 2);
+        assert_eq!(lifetime.counts.parses, 2);
         assert_eq!(lifetime.source_entries, 2);
     }
 
@@ -1784,6 +1853,83 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_scans_on_one_engine_count_only_their_own_files() {
+        // Per-scan stats used to be a diff of engine-wide counters taken
+        // at scan start and end, so two overlapping scans each reported
+        // the other's work too (e.g. 400 parses for a 200-file scan).
+        const FILES: usize = 200;
+        let sets: Vec<Vec<String>> = ["a", "b"]
+            .iter()
+            .map(|tag| {
+                (0..FILES)
+                    .map(|i| SAFE_SRC.replace("program ", &format!("program {tag}{i}_")))
+                    .collect()
+            })
+            .collect();
+        for round in 0..20 {
+            let engine = BatchEngine::default().with_jobs(2);
+            let barrier = std::sync::Barrier::new(sets.len());
+            thread::scope(|scope| {
+                for sources in &sets {
+                    let (engine, barrier) = (&engine, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let (_, stats) = engine.scan_sources_with_stats(sources);
+                        assert_eq!(
+                            stats.cache_hits + stats.cache_misses,
+                            FILES as u64,
+                            "round {round}: {stats:?}"
+                        );
+                        assert_eq!(stats.parses, FILES as u64, "round {round}: {stats:?}");
+                    });
+                }
+            });
+            let lifetime = engine.cache_stats();
+            assert_eq!(lifetime.counts.parses, 2 * FILES as u64, "both scans reach the lifetime");
+        }
+    }
+
+    #[test]
+    fn write_errors_count_per_scan_and_manifest_errors_only_for_life() {
+        let dir = tmp_cache_dir("write-errors");
+        let paths = write_corpus(&dir.join("src"), 3);
+        let cache_dir = dir.join("cache");
+        let engine = engine_with_disk_cache(&cache_dir);
+        // The cache dir vanishes after open: every write now fails.
+        std::fs::remove_dir_all(&cache_dir).unwrap();
+        let (_, stats, delta) = rescan(&engine, &paths, None);
+        assert_eq!(stats.persistent_write_errors, 3, "one failed entry write per file");
+        assert!(delta.manifest_save_failed);
+        let lifetime = engine.cache_stats().counts;
+        assert_eq!(lifetime.disk_stores, 0);
+        // The entries, the manifest and the summary-store blob.
+        assert_eq!(lifetime.disk_write_errors, 3 + 1 + 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn summary_blob_and_manifest_touch_no_entry_counter() {
+        let dir = tmp_cache_dir("blob-counters");
+        let paths = write_corpus(&dir.join("src"), 3);
+        let cache_dir = dir.join("cache");
+        let first = engine_with_disk_cache(&cache_dir);
+        rescan(&first, &paths, None);
+        let lifetime = first.cache_stats().counts;
+        assert_eq!((lifetime.disk_stores, lifetime.disk_write_errors), (3, 0), "entries only");
+
+        // A broken blob loads as an empty store: a restart still serves
+        // every file from disk and counts nothing corrupt.
+        let blob = cache_dir.join(format!("{:032x}.pnc", crate::cache::SUMMARY_STORE_KEY));
+        std::fs::write(&blob, b"PNXCACHEgarbage").unwrap();
+        let second = engine_with_disk_cache(&cache_dir);
+        let (_, stats, delta) = rescan(&second, &paths, None);
+        assert_eq!(delta.unchanged_files, 3);
+        assert_eq!((stats.persistent_hits, stats.persistent_corrupt), (3, 0));
+        assert_eq!(second.cache_stats().counts.disk_corrupt, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn stats_snapshots_are_never_torn_under_concurrent_requests() {
         // The pncheckd-stats/1 regression: counters sampled while
         // requests mutate them must always satisfy
@@ -1810,13 +1956,17 @@ mod tests {
             let mut sampled = 0u64;
             while sampled < 500 {
                 let snap = engine.cache_stats();
-                assert_eq!(snap.hits + snap.misses, snap.lookups, "torn stats snapshot: {snap:?}");
+                assert_eq!(
+                    snap.counts.hits + snap.counts.misses,
+                    snap.lookups,
+                    "torn stats snapshot: {snap:?}"
+                );
                 sampled += 1;
             }
             stop.store(true, Ordering::Relaxed);
         });
         let final_snap = engine.cache_stats();
-        assert_eq!(final_snap.hits + final_snap.misses, final_snap.lookups);
+        assert_eq!(final_snap.counts.hits + final_snap.counts.misses, final_snap.lookups);
         assert!(final_snap.lookups > 0);
     }
 

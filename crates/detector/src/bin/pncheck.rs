@@ -70,7 +70,6 @@
 
 use std::borrow::Cow;
 use std::io::Read as _;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -92,8 +91,6 @@ fn main() -> ExitCode {
     let mut stats = false;
     let mut delta = false;
     let mut opts = CommonOpts::default();
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut cache_backend = pnew_detector::BackendKind::Dir;
     let mut inputs = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -110,26 +107,6 @@ fn main() -> ExitCode {
             "--oracle" => oracle = true,
             "--stats" => stats = true,
             "--delta" => delta = true,
-            "--cache-dir" => {
-                let Some(dir) = args.next() else {
-                    eprintln!("pncheck: --cache-dir needs a directory");
-                    return ExitCode::from(2);
-                };
-                cache_dir = Some(PathBuf::from(dir));
-            }
-            "--cache-backend" => {
-                let Some(kind) = args.next() else {
-                    eprintln!("pncheck: --cache-backend needs a value (dir|indexed)");
-                    return ExitCode::from(2);
-                };
-                match cliopts::parse_cache_backend(&kind) {
-                    Ok(kind) => cache_backend = kind,
-                    Err(e) => {
-                        eprintln!("pncheck: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -137,7 +114,7 @@ fn main() -> ExitCode {
             _ => inputs.push(arg),
         }
     }
-    let CommonOpts { jobs, format, config } = opts;
+    let CommonOpts { jobs, format, config, cache_dir, cache_backend } = opts;
     if inputs.is_empty() {
         eprintln!("{USAGE}");
         return ExitCode::from(2);

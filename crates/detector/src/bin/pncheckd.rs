@@ -55,7 +55,6 @@
 
 use std::io;
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -71,7 +70,6 @@ fn main() -> ExitCode {
     let mut watch_interval_ms: u64 = 500;
     let mut watch_cycles: u64 = 0;
     let mut opts = CommonOpts::default();
-    let mut cache_dir: Option<PathBuf> = None;
     let mut server_config = ServerConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -100,26 +98,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 };
                 listen = Some(addr);
-            }
-            "--cache-dir" => {
-                let Some(dir) = args.next() else {
-                    eprintln!("pncheckd: --cache-dir needs a directory");
-                    return ExitCode::from(2);
-                };
-                cache_dir = Some(PathBuf::from(dir));
-            }
-            "--cache-backend" => {
-                let Some(kind) = args.next() else {
-                    eprintln!("pncheckd: --cache-backend needs a value (dir|indexed)");
-                    return ExitCode::from(2);
-                };
-                match pnew_detector::cliopts::parse_cache_backend(&kind) {
-                    Ok(kind) => server_config.cache_backend = kind,
-                    Err(e) => {
-                        eprintln!("pncheckd: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
             }
             "--shard" => {
                 let Some(spec) = args.next() else {
@@ -197,7 +175,8 @@ fn main() -> ExitCode {
     }
     server_config.base = opts.config;
     server_config.jobs = opts.jobs;
-    server_config.cache_dir = cache_dir;
+    server_config.cache_dir = opts.cache_dir;
+    server_config.cache_backend = opts.cache_backend;
 
     // Like pncheck, an unusable --cache-dir fails startup loudly
     // instead of degrading to an uncached daemon.

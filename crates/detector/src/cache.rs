@@ -25,13 +25,15 @@
 //!
 //! Byte *storage* is pluggable: a [`CacheBackend`] moves opaque entry
 //! and manifest bytes, while everything semantic — encoding, checksum,
-//! schema/config staleness, corrupt accounting — stays here, so every
-//! backend inherits the same invariants. See [`crate::backend`] for
-//! the two layouts (`dir`, `indexed`).
+//! schema/config staleness, the hit/miss/corrupt verdict — stays here,
+//! so every backend inherits the same invariants. See [`crate::backend`]
+//! for the two layouts (`dir`, `indexed`). The cache keeps no counters:
+//! [`PersistentCache::get`] returns its verdict and every write returns
+//! whether it landed, and the caller counts them
+//! ([`crate::batch::Tally`]).
 
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
 use crate::analysis::AnalyzerConfig;
 use crate::backend::{BackendKind, CacheBackend};
@@ -123,36 +125,11 @@ pub enum CacheLookup {
 
 /// A store of content-addressed analysis results shared across
 /// `pncheck` runs. Thread-safe: backends synchronize their own byte
-/// storage, and counters are atomics.
+/// storage.
 #[derive(Debug)]
 pub struct PersistentCache {
-    dir: PathBuf,
     backend: Box<dyn CacheBackend>,
     config_tag: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    corrupt: AtomicU64,
-    stores: AtomicU64,
-    write_errors: AtomicU64,
-}
-
-/// Lifetime counters of one [`PersistentCache`] handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PersistentCacheStats {
-    /// Probes served from disk.
-    pub hits: u64,
-    /// Probes with no usable entry.
-    pub misses: u64,
-    /// Probes that found a broken entry (counted in `misses` too).
-    pub corrupt: u64,
-    /// Entries written.
-    pub stores: u64,
-    /// Entries that could not be written (full disk, directory removed
-    /// mid-run, permission change). Each failed `put` degrades that one
-    /// file to uncached — the scan still succeeds — but a silently
-    /// dying cache looks exactly like a working one, so the count is
-    /// surfaced in `--stats` and the daemon's stats envelope.
-    pub write_errors: u64,
 }
 
 /// Tag folding everything about the analyzer that changes its output:
@@ -194,7 +171,7 @@ impl PersistentCache {
     /// Like [`PersistentCache::open`] but with an explicit storage
     /// backend (`--cache-backend dir|indexed`).
     pub fn open_with(dir: &Path, config: &AnalyzerConfig, kind: BackendKind) -> io::Result<Self> {
-        Ok(Self::with_backend(dir, config, kind.open(dir)?))
+        Ok(Self::with_backend(config, kind.open(dir)?))
     }
 
     /// Binds an already-open [`CacheBackend`] instead of opening one by
@@ -202,26 +179,13 @@ impl PersistentCache {
     /// harness's fault injector) between the cache layer and the real
     /// store; `open`/`open_with` remain the fail-fast constructors for
     /// plain directories.
-    pub fn with_backend(
-        dir: &Path,
-        config: &AnalyzerConfig,
-        backend: Box<dyn CacheBackend>,
-    ) -> Self {
-        PersistentCache {
-            dir: dir.to_path_buf(),
-            backend,
-            config_tag: config_tag(config),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-        }
+    pub fn with_backend(config: &AnalyzerConfig, backend: Box<dyn CacheBackend>) -> Self {
+        PersistentCache { backend, config_tag: config_tag(config) }
     }
 
     /// Probes the cache for `key`.
     pub fn get(&self, key: u128) -> CacheLookup {
-        let lookup = match self.backend.load(key) {
+        match self.backend.load(key) {
             None => CacheLookup::Miss,
             Some(bytes) => match unseal(&bytes, self.config_tag) {
                 Ok(payload) => {
@@ -229,37 +193,21 @@ impl PersistentCache {
                 }
                 Err(rejected) => rejected,
             },
-        };
-        match lookup {
-            CacheLookup::Hit(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            CacheLookup::Miss => self.misses.fetch_add(1, Ordering::Relaxed),
-            CacheLookup::Corrupt => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed)
-            }
-        };
-        lookup
-    }
-
-    /// Stores an entry for `key`. Best-effort: a full disk or a
-    /// read-only directory downgrades the cache, it does not fail the
-    /// scan — but every failed write is counted
-    /// ([`PersistentCacheStats::write_errors`]) so the degradation is
-    /// visible instead of silent.
-    pub fn put(&self, key: u128, entry: &CachedAnalysis) {
-        if self.store_sealed(key, &encode_payload(key, entry)) {
-            self.stores.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Seals `payload` into a `.pnc` frame and stores it under `key`,
-    /// counting a failed write. Returns whether the write landed.
+    /// Stores an entry for `key`, returning whether the write landed.
+    /// Best-effort: a full disk or a read-only directory downgrades the
+    /// cache, it does not fail the scan — but the caller counts every
+    /// failed write, so the degradation is visible instead of silent.
+    pub fn put(&self, key: u128, entry: &CachedAnalysis) -> bool {
+        self.store_sealed(key, &encode_payload(key, entry))
+    }
+
+    /// Seals `payload` into a `.pnc` frame and stores it under `key`.
+    /// Returns whether the write landed.
     fn store_sealed(&self, key: u128, payload: &[u8]) -> bool {
-        let wrote = self.backend.store(key, &seal(payload, self.config_tag)).is_ok();
-        if !wrote {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        wrote
+        self.backend.store(key, &seal(payload, self.config_tag)).is_ok()
     }
 
     /// The delta manifest text stored alongside the entries, if any.
@@ -267,25 +215,18 @@ impl PersistentCache {
         self.backend.load_manifest()
     }
 
-    /// Durably stores the delta manifest text alongside the entries.
-    /// Best-effort like `put`: a failure degrades the next cold start
-    /// to a full rescan, and is counted so it is visible, not silent.
-    /// (`stores` counts analysis entries only, so tier accounting
-    /// stays comparable across runs that do and don't write
-    /// manifests.)
+    /// Durably stores the delta manifest text alongside the entries,
+    /// returning whether the write landed. Best-effort like `put`: a
+    /// failure degrades the next cold start to a full rescan.
     pub fn store_manifest(&self, text: &str) -> bool {
-        let wrote = self.backend.store_manifest(text).is_ok();
-        if !wrote {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        wrote
+        self.backend.store_manifest(text).is_ok()
     }
 
     /// Loads the persisted cross-file summary-store blob, if a valid
     /// one exists for this schema and config. Absent, stale, or corrupt
-    /// blobs all return an empty list (the store simply starts cold) and
-    /// leave the entry counters untouched — the blob is an accelerator,
-    /// not an entry.
+    /// blobs all return an empty list (the store simply starts cold):
+    /// the blob is an accelerator, not an entry, so the verdict is not
+    /// reported.
     pub fn load_summary_entries(&self) -> Vec<(u128, StoredSummary)> {
         let Some(bytes) = self.backend.load(SUMMARY_STORE_KEY) else {
             return Vec::new();
@@ -294,30 +235,10 @@ impl PersistentCache {
     }
 
     /// Durably stores the cross-file summary-store blob under the
-    /// reserved key. Best-effort like `put`; failed writes are counted.
+    /// reserved key, returning whether the write landed. Best-effort
+    /// like `put`.
     pub fn store_summary_entries(&self, items: &[(u128, StoredSummary)]) -> bool {
         self.store_sealed(SUMMARY_STORE_KEY, &encode_summary_store(items))
-    }
-
-    /// The flag spelling of the storage backend in use.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    /// Lifetime probe/store counters of this handle.
-    pub fn stats(&self) -> PersistentCacheStats {
-        PersistentCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The directory entries live in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -620,6 +541,7 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use std::fs;
+    use std::path::PathBuf;
 
     use super::*;
 
@@ -679,10 +601,8 @@ mod tests {
         let key = source_fingerprint("program demo; fn main() {}");
         assert_eq!(cache.get(key), CacheLookup::Miss);
         let entry = sample_entry();
-        cache.put(key, &entry);
+        assert!(cache.put(key, &entry), "the write lands");
         assert_eq!(cache.get(key), CacheLookup::Hit(entry));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.corrupt, stats.stores), (1, 1, 0, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -708,7 +628,7 @@ mod tests {
         let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
         let key = source_fingerprint("y");
         cache.put(key, &sample_entry());
-        let path = cache.dir().join(format!("{key:032x}.pnc"));
+        let path = dir.join(format!("{key:032x}.pnc"));
 
         // Flip a payload byte: checksum mismatch.
         let mut bytes = fs::read(&path).unwrap();
@@ -724,7 +644,6 @@ mod tests {
         // Empty file.
         fs::write(&path, b"").unwrap();
         assert_eq!(cache.get(key), CacheLookup::Corrupt);
-        assert_eq!(cache.stats().corrupt, 3);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -734,7 +653,7 @@ mod tests {
         let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
         let key = source_fingerprint("z");
         cache.put(key, &sample_entry());
-        let path = cache.dir().join(format!("{key:032x}.pnc"));
+        let path = dir.join(format!("{key:032x}.pnc"));
         let good = fs::read(&path).unwrap();
 
         // Future schema version: stale (miss), not corrupt.
@@ -759,11 +678,8 @@ mod tests {
         let key_a = source_fingerprint("a");
         let key_b = source_fingerprint("b");
         cache.put(key_a, &sample_entry());
-        fs::rename(
-            cache.dir().join(format!("{key_a:032x}.pnc")),
-            cache.dir().join(format!("{key_b:032x}.pnc")),
-        )
-        .unwrap();
+        fs::rename(dir.join(format!("{key_a:032x}.pnc")), dir.join(format!("{key_b:032x}.pnc")))
+            .unwrap();
         assert_eq!(cache.get(key_b), CacheLookup::Corrupt);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -787,19 +703,19 @@ mod tests {
     }
 
     #[test]
-    fn failed_writes_are_counted_not_silent() {
+    fn failed_writes_are_reported_not_silent() {
         // Remove the directory after open: every put now fails at
         // File::create (ENOENT) — the classic "cache dir deleted
         // mid-run" degradation. (chmod-based read-only cannot be
-        // asserted portably when tests run as root.)
+        // asserted portably when tests run as root.) The engine counts
+        // what `put` reports; see batch's
+        // `write_errors_count_per_scan_and_manifest_errors_only_for_life`.
         let dir = tmp_dir("write-errors");
         let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
         fs::remove_dir_all(&dir).unwrap();
         let key = source_fingerprint("w");
-        cache.put(key, &sample_entry());
-        let stats = cache.stats();
-        assert_eq!(stats.write_errors, 1);
-        assert_eq!(stats.stores, 0);
+        assert!(!cache.put(key, &sample_entry()), "a failed write reports it");
+        assert!(!cache.store_manifest("pnx-delta-manifest/1\n"));
         assert_eq!(cache.get(key), CacheLookup::Miss, "a failed put leaves no entry");
     }
 
@@ -816,10 +732,9 @@ mod tests {
         let cache =
             PersistentCache::open_with(&dir, &AnalyzerConfig::default(), BackendKind::Indexed)
                 .unwrap();
-        assert_eq!(cache.backend_name(), "indexed");
         assert_eq!(cache.get(key), CacheLookup::Corrupt, "garbage decodes as corrupt");
         let entry = sample_entry();
-        cache.put(key, &entry); // heal
+        assert!(cache.put(key, &entry)); // heal
         assert_eq!(cache.get(key), CacheLookup::Hit(entry.clone()));
         assert_eq!(cache.get(source_fingerprint("absent")), CacheLookup::Miss);
 
@@ -842,12 +757,12 @@ mod tests {
             let dir = tmp_dir(&format!("manifest-{}", kind.name()));
             let cache = PersistentCache::open_with(&dir, &AnalyzerConfig::default(), kind).unwrap();
             assert_eq!(cache.load_manifest(), None);
-            cache.store_manifest("pnx-delta-manifest/1\n3 4 00000000000000000000000000000005 a\n");
+            assert!(cache
+                .store_manifest("pnx-delta-manifest/1\n3 4 00000000000000000000000000000005 a\n"));
             assert_eq!(
                 cache.load_manifest().as_deref(),
                 Some("pnx-delta-manifest/1\n3 4 00000000000000000000000000000005 a\n")
             );
-            assert_eq!(cache.stats().write_errors, 0);
             let _ = fs::remove_dir_all(&dir);
         }
     }
@@ -871,7 +786,7 @@ mod tests {
                     let cache = PersistentCache::open(&dir, &AnalyzerConfig::default()).unwrap();
                     for round in 0..200 {
                         let key = keys[round % keys.len()];
-                        cache.put(key, &entry);
+                        assert!(cache.put(key, &entry), "no write may fail");
                         match cache.get(key) {
                             CacheLookup::Hit(got) => assert_eq!(got, entry),
                             CacheLookup::Miss => {} // racing rename not yet visible
@@ -880,8 +795,6 @@ mod tests {
                             }
                         }
                     }
-                    assert_eq!(cache.stats().corrupt, 0);
-                    assert_eq!(cache.stats().write_errors, 0);
                 });
             }
         });
@@ -927,9 +840,6 @@ mod tests {
             assert!(cache.load_summary_entries().is_empty());
             assert!(cache.store_summary_entries(&items));
             assert_eq!(cache.load_summary_entries(), items);
-            // The blob never touches entry hit/miss/store accounting.
-            let stats = cache.stats();
-            assert_eq!((stats.hits, stats.misses, stats.stores), (0, 0, 0));
 
             // A different config reads the blob as absent, not corrupt.
             let stricter =
@@ -948,13 +858,12 @@ mod tests {
             3,
             StoredSummary { findings: vec![], region_effects: 0, clobbers: false }
         )]));
-        let path = cache.dir().join(format!("{SUMMARY_STORE_KEY:032x}.pnc"));
+        let path = dir.join(format!("{SUMMARY_STORE_KEY:032x}.pnc"));
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         fs::write(&path, &bytes).unwrap();
         assert!(cache.load_summary_entries().is_empty());
-        assert_eq!(cache.stats().corrupt, 0, "the blob is an accelerator, not an entry");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -67,7 +67,7 @@ pub fn parse_shard(value: &str) -> Result<ShardSpec, String> {
     Ok(ShardSpec { index, count })
 }
 
-/// The options every detector front end shares, with their defaults.
+/// The options `pncheck` and `pncheckd` share, with their defaults.
 #[derive(Debug, Clone, Default)]
 pub struct CommonOpts {
     /// `--jobs N`; `None` means the engine's default (available
@@ -78,6 +78,10 @@ pub struct CommonOpts {
     /// Analyzer configuration (`--min-severity`, `--disable`,
     /// `--no-summaries`).
     pub config: AnalyzerConfig,
+    /// `--cache-dir DIR`: the persistent cache, if any.
+    pub cache_dir: Option<PathBuf>,
+    /// `--cache-backend dir|indexed`.
+    pub cache_backend: BackendKind,
 }
 
 impl CommonOpts {
@@ -115,6 +119,17 @@ impl CommonOpts {
                 self.config.use_summaries = false;
                 Some(Ok(()))
             }
+            "--cache-dir" => Some(match rest.next() {
+                Some(v) => {
+                    self.cache_dir = Some(PathBuf::from(v));
+                    Ok(())
+                }
+                None => Err("--cache-dir needs a directory".to_owned()),
+            }),
+            "--cache-backend" => Some(match rest.next() {
+                Some(v) => parse_cache_backend(&v).map(|k| self.cache_backend = k),
+                None => Err("--cache-backend needs a value (dir|indexed)".to_owned()),
+            }),
             _ => None,
         }
     }
@@ -321,14 +336,18 @@ mod tests {
     #[test]
     fn accept_consumes_shared_flags_and_ignores_others() {
         let mut opts = CommonOpts::default();
-        let mut rest = vec!["2".to_owned(), "error".to_owned()].into_iter();
+        let mut rest = ["2", "error", "/tmp/c", "indexed"].map(str::to_owned).into_iter();
         assert_eq!(opts.accept("--jobs", &mut rest), Some(Ok(())));
         assert_eq!(opts.accept("--min-severity", &mut rest), Some(Ok(())));
         assert_eq!(opts.accept("--no-summaries", &mut rest), Some(Ok(())));
+        assert_eq!(opts.accept("--cache-dir", &mut rest), Some(Ok(())));
+        assert_eq!(opts.accept("--cache-backend", &mut rest), Some(Ok(())));
         assert_eq!(opts.accept("--baseline", &mut rest), None);
         assert_eq!(opts.jobs, Some(2));
         assert_eq!(opts.config.min_severity, Severity::Error);
         assert!(!opts.config.use_summaries);
+        assert_eq!(opts.cache_dir, Some(PathBuf::from("/tmp/c")));
+        assert_eq!(opts.cache_backend, BackendKind::Indexed);
     }
 
     #[test]
@@ -340,6 +359,13 @@ mod tests {
         let mut bad = vec!["nope".to_owned()].into_iter();
         let err = opts.accept("--format", &mut bad).unwrap().unwrap_err();
         assert!(err.contains("unknown format"), "{err}");
+        let err = opts.accept("--cache-dir", &mut empty).unwrap().unwrap_err();
+        assert_eq!(err, "--cache-dir needs a directory");
+        let err = opts.accept("--cache-backend", &mut empty).unwrap().unwrap_err();
+        assert_eq!(err, "--cache-backend needs a value (dir|indexed)");
+        let mut bad = vec!["tape".to_owned()].into_iter();
+        let err = opts.accept("--cache-backend", &mut bad).unwrap().unwrap_err();
+        assert!(err.contains("unknown cache backend"), "{err}");
     }
 
     #[test]

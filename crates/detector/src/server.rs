@@ -70,20 +70,32 @@
 //! only its slice warm, and the persistent tier can run on either
 //! cache backend ([`ServerConfig::cache_backend`], CLI
 //! `--cache-backend dir|indexed`).
+//!
+//! # Counters
+//!
+//! Each event is counted once, where it happens. Request, error,
+//! rejected-connection and delta-function counts are the server's trace
+//! counters (`server.*`). Cache, parse and store counts live in each
+//! engine ([`BatchEngine::cache_stats`]): its files' tallies, summed as
+//! each file finishes. The `stats` op renders both as lifetime totals.
+//! An `analyze` or `delta` request with `"stats": true` embeds the
+//! [`crate::BatchStats`] of its own scan, which adds up only that
+//! scan's files, so concurrent requests on one engine never count each
+//! other's work.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
 use crate::analysis::{Analyzer, AnalyzerConfig};
 use crate::backend::{BackendKind, CacheBackend};
-use crate::batch::{BatchEngine, ShardSpec};
+use crate::batch::{BatchEngine, CacheStats, ShardSpec};
 use crate::cache::{config_tag, PersistentCache};
 use crate::cliopts::{self, ScanMode};
 use crate::clock::{Clock, SystemClock};
@@ -715,9 +727,6 @@ pub struct Server {
     started_ns: u64,
     shutdown: AtomicBool,
     active_connections: AtomicUsize,
-    rejected_connections: AtomicU64,
-    requests: AtomicU64,
-    errors: AtomicU64,
 }
 
 impl Server {
@@ -733,9 +742,6 @@ impl Server {
             started_ns,
             shutdown: AtomicBool::new(false),
             active_connections: AtomicUsize::new(0),
-            rejected_connections: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
         };
         let base = server.config.base.clone();
         server.engine_for(&base)?;
@@ -772,8 +778,7 @@ impl Server {
             };
             // Entries are config-tagged, so every engine can share one
             // directory without ever serving a stale verdict.
-            engine =
-                engine.with_persistent_cache(PersistentCache::with_backend(dir, config, backend));
+            engine = engine.with_persistent_cache(PersistentCache::with_backend(config, backend));
         }
         if let Some(shard) = self.config.shard {
             engine = engine.with_shard(shard);
@@ -792,7 +797,6 @@ impl Server {
     /// the whole protocol with the transport peeled off — the tests
     /// drive it directly, and every transport goes through it.
     pub fn handle_line(&self, line: &str) -> Reply {
-        self.requests.fetch_add(1, Ordering::Relaxed);
         self.trace.count("server.requests", 1);
         let parsed = match parse_json(line) {
             Ok(node) => parse_request(node, &self.config.base),
@@ -946,51 +950,17 @@ impl Server {
     }
 
     /// The `pncheckd-stats/1` payload: request counters, connection
-    /// state, and the aggregated cache/parse counters of every engine.
+    /// state, and the lifetime cache/parse counters of every engine,
+    /// summed (see [Counters](self#counters)).
     fn render_stats(&self) -> String {
-        let engines = self.engines.lock().expect("engine map poisoned");
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut lookups = 0u64;
-        let mut parses = 0u64;
-        let mut entries = 0u64;
-        let mut source_entries = 0u64;
-        let (mut p_hits, mut p_misses, mut p_corrupt, mut p_stores) = (0u64, 0u64, 0u64, 0u64);
-        let mut p_write_errors = 0u64;
-        let mut tracked_files = 0u64;
-        let (mut fn_reanalyzed, mut fn_reused) = (0u64, 0u64);
-        let (mut store_entries, mut store_hits, mut store_misses) = (0u64, 0u64, 0u64);
-        for engine in engines.values() {
-            // One consistent snapshot per engine, so the aggregated
-            // `hits + misses == lookups` invariant survives concurrent
-            // requests — a stats reader can never see a torn pair.
-            let c = engine.cache_stats();
-            hits += c.hits;
-            misses += c.misses;
-            lookups += c.lookups;
-            parses += c.parses;
-            entries += c.entries as u64;
-            source_entries += c.source_entries as u64;
-            tracked_files += engine.tracked_files() as u64;
-            let (re, used) = engine.function_delta_totals();
-            fn_reanalyzed += re;
-            fn_reused += used;
-            let store = engine.summary_store();
-            store_entries += store.len() as u64;
-            store_hits += store.hits();
-            store_misses += store.misses();
-            if let Some(pc) = engine.persistent_cache() {
-                let s = pc.stats();
-                p_hits += s.hits;
-                p_misses += s.misses;
-                p_corrupt += s.corrupt;
-                p_stores += s.stores;
-                p_write_errors += s.write_errors;
-            }
-        }
-        let engine_count = engines.len() as u64;
-        drop(engines);
-
+        // One consistent snapshot per engine, so the summed
+        // `hits + misses == lookups` invariant survives concurrent
+        // requests — a stats reader can never see a torn pair.
+        let engines: Vec<CacheStats> = {
+            let engines = self.engines.lock().expect("engine map poisoned");
+            engines.values().map(|e| e.cache_stats()).collect()
+        };
+        let sum = |f: fn(&CacheStats) -> u64| JsonValue::U64(engines.iter().map(f).sum());
         let snap = self.trace.snapshot();
         let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
         let trace_counters: Vec<(String, JsonValue)> =
@@ -1011,13 +981,13 @@ impl Server {
             (
                 "requests",
                 obj(vec![
-                    ("total", JsonValue::U64(self.requests.load(Ordering::Relaxed))),
+                    ("total", JsonValue::U64(counter("server.requests"))),
                     ("analyze", JsonValue::U64(counter("server.analyze"))),
                     ("delta", JsonValue::U64(counter("server.delta"))),
                     ("ping", JsonValue::U64(counter("server.ping"))),
                     ("stats", JsonValue::U64(counter("server.stats"))),
                     ("shutdown", JsonValue::U64(counter("server.shutdown"))),
-                    ("errors", JsonValue::U64(self.errors.load(Ordering::Relaxed))),
+                    ("errors", JsonValue::U64(counter("server.errors"))),
                 ]),
             ),
             (
@@ -1027,7 +997,7 @@ impl Server {
                         "active",
                         JsonValue::U64(self.active_connections.load(Ordering::Relaxed) as u64),
                     ),
-                    ("rejected", JsonValue::U64(self.rejected_connections.load(Ordering::Relaxed))),
+                    ("rejected", JsonValue::U64(counter("server.rejected-connections"))),
                     ("max", JsonValue::U64(self.config.max_connections as u64)),
                     ("hard_cap", JsonValue::U64(hard_connection_cap(&self.config) as u64)),
                     ("client_quota", JsonValue::U64(self.config.client_quota as u64)),
@@ -1049,26 +1019,26 @@ impl Server {
             (
                 "analysis",
                 obj(vec![
-                    ("engines", JsonValue::U64(engine_count)),
+                    ("engines", JsonValue::U64(engines.len() as u64)),
                     ("files", JsonValue::U64(counter("server.files"))),
                     ("findings", JsonValue::U64(counter("server.findings"))),
-                    ("parses", JsonValue::U64(parses)),
-                    ("fingerprint_hits", JsonValue::U64(hits)),
-                    ("fingerprint_misses", JsonValue::U64(misses)),
-                    ("fingerprint_lookups", JsonValue::U64(lookups)),
-                    ("program_cache_entries", JsonValue::U64(entries)),
-                    ("source_cache_entries", JsonValue::U64(source_entries)),
-                    ("persistent_hits", JsonValue::U64(p_hits)),
-                    ("persistent_misses", JsonValue::U64(p_misses)),
-                    ("persistent_corrupt", JsonValue::U64(p_corrupt)),
-                    ("persistent_stores", JsonValue::U64(p_stores)),
-                    ("persistent_write_errors", JsonValue::U64(p_write_errors)),
-                    ("tracked_files", JsonValue::U64(tracked_files)),
-                    ("functions_reanalyzed", JsonValue::U64(fn_reanalyzed)),
-                    ("functions_reused", JsonValue::U64(fn_reused)),
-                    ("summary_store_entries", JsonValue::U64(store_entries)),
-                    ("summary_store_hits", JsonValue::U64(store_hits)),
-                    ("summary_store_misses", JsonValue::U64(store_misses)),
+                    ("parses", sum(|c| c.counts.parses)),
+                    ("fingerprint_hits", sum(|c| c.counts.hits)),
+                    ("fingerprint_misses", sum(|c| c.counts.misses)),
+                    ("fingerprint_lookups", sum(|c| c.lookups)),
+                    ("program_cache_entries", sum(|c| c.entries as u64)),
+                    ("source_cache_entries", sum(|c| c.source_entries as u64)),
+                    ("persistent_hits", sum(|c| c.counts.disk_hits)),
+                    ("persistent_misses", sum(|c| c.counts.disk_misses)),
+                    ("persistent_corrupt", sum(|c| c.counts.disk_corrupt)),
+                    ("persistent_stores", sum(|c| c.counts.disk_stores)),
+                    ("persistent_write_errors", sum(|c| c.counts.disk_write_errors)),
+                    ("tracked_files", sum(|c| c.tracked_files as u64)),
+                    ("functions_reanalyzed", JsonValue::U64(counter("server.delta-fn-reanalyzed"))),
+                    ("functions_reused", JsonValue::U64(counter("server.delta-fn-reused"))),
+                    ("summary_store_entries", sum(|c| c.summary_entries as u64)),
+                    ("summary_store_hits", sum(|c| c.summary_hits)),
+                    ("summary_store_misses", sum(|c| c.summary_misses)),
                 ]),
             ),
             ("trace", JsonValue::Obj(trace_counters)),
@@ -1116,7 +1086,6 @@ impl Server {
 
     /// An error reply, counted in `requests.errors`.
     fn error_reply(&self, id: &RequestId, err: &RequestError) -> Reply {
-        self.errors.fetch_add(1, Ordering::Relaxed);
         self.trace.count("server.errors", 1);
         Reply::error(id, err)
     }
@@ -1225,7 +1194,6 @@ impl Server {
                 while let (false, Ok((stream, _peer))) = (draining, listener.accept()) {
                     activity = true;
                     if conns.len() >= hard_cap {
-                        self.rejected_connections.fetch_add(1, Ordering::Relaxed);
                         self.trace.count("server.rejected-connections", 1);
                         let err = RequestError::new(
                             "busy",

@@ -246,10 +246,6 @@ impl FaultyBackend {
 }
 
 impl CacheBackend for FaultyBackend {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
     fn load(&self, key: u128) -> Option<Vec<u8>> {
         self.inner.load(key)
     }
@@ -1220,17 +1216,17 @@ fn verify_unhealed_sabotage(
     if survivors.is_empty() {
         return;
     }
-    let cache =
-        PersistentCache::with_backend(cache_dir, base, open(cache_dir).expect("reopen store"));
+    let cache = PersistentCache::with_backend(base, open(cache_dir).expect("reopen store"));
     for key in survivors {
-        if matches!(cache.get(key), CacheLookup::Hit(_)) {
-            report.violations.push(format!(
+        match cache.get(key) {
+            CacheLookup::Hit(_) => report.violations.push(format!(
                 "seed {}: sabotaged entry {key:032x} decoded as a servable hit",
                 report.seed
-            ));
+            )),
+            CacheLookup::Corrupt => report.corrupt_detected += 1,
+            CacheLookup::Miss => {}
         }
     }
-    report.corrupt_detected += cache.stats().corrupt;
 }
 
 #[cfg(test)]

@@ -331,7 +331,8 @@ fn schema_v2_cache_entries_decode_as_stale_misses_not_corruption() {
     // entry is stale, the cache is healthy), never as Corrupt, which
     // would make every upgrade look like disk damage in `--stats`.
     use placement_new_attacks::detector::{
-        source_fingerprint, Analyzer, AnalyzerConfig, CacheLookup, CachedAnalysis, PersistentCache,
+        source_fingerprint, Analyzer, AnalyzerConfig, BatchEngine, CacheLookup, CachedAnalysis,
+        PersistentCache,
     };
 
     let dir = case_dir();
@@ -357,7 +358,14 @@ fn schema_v2_cache_entries_decode_as_stale_misses_not_corruption() {
     std::fs::write(&path, &bytes).unwrap();
 
     assert_eq!(cache.get(key), CacheLookup::Miss, "v2 entry must be a stale miss");
-    let stats = cache.stats();
-    assert_eq!(stats.corrupt, 0, "a stale version is not corruption: {stats:?}");
+    // An engine scanning the text counts the stale entry as a disk miss.
+    let engine = BatchEngine::new(Analyzer::new()).with_persistent_cache(cache);
+    let (outcomes, stats) = engine.scan_sources_with_stats(&[source.as_str()]);
+    assert!(!outcomes[0].cache_corrupt);
+    assert_eq!(
+        (stats.persistent_misses, stats.persistent_corrupt),
+        (1, 0),
+        "a stale version is not corruption: {stats:?}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
