@@ -55,32 +55,33 @@ fn bench_scaling(c: &mut Criterion) {
 
 fn bench_batch(c: &mut Criterion) {
     // Serial vs parallel vs cached throughput of the batch engine over a
-    // generated 500-program corpus. `serial`/`parallel` clear the report
-    // cache every iteration so each pass re-analyzes everything; `cached`
-    // pre-warms the cache and measures pure fingerprint-and-lookup.
-    let programs = workload::corpus(42, 500);
+    // generated 500-program corpus, scanned as pretty-printed texts.
+    // `serial`/`parallel` clear the report cache every iteration so each
+    // pass re-parses and re-analyzes everything; `cached` pre-warms the
+    // cache and measures pure fingerprint-and-lookup.
+    let sources: Vec<String> = workload::corpus(42, 500).iter().map(pretty_program).collect();
     let mut group = c.benchmark_group("detector_batch_scan");
-    group.throughput(Throughput::Elements(programs.len() as u64));
+    group.throughput(Throughput::Elements(sources.len() as u64));
     group.sample_size(10);
 
     let serial = BatchEngine::new(Analyzer::new()).with_jobs(1);
     group.bench_function("serial", |b| {
         b.iter(|| {
             serial.clear_cache();
-            serial.scan_with_stats(&programs).0.len()
+            serial.scan_sources_with_stats(&sources).0.len()
         });
     });
     let parallel = BatchEngine::new(Analyzer::new()); // jobs = available cores
     group.bench_function(format!("parallel-{}jobs", parallel.jobs()), |b| {
         b.iter(|| {
             parallel.clear_cache();
-            parallel.scan_with_stats(&programs).0.len()
+            parallel.scan_sources_with_stats(&sources).0.len()
         });
     });
     let cached = BatchEngine::new(Analyzer::new());
-    cached.scan_with_stats(&programs);
+    cached.scan_sources_with_stats(&sources);
     group.bench_function("cached", |b| {
-        b.iter(|| cached.scan_with_stats(&programs).0.len());
+        b.iter(|| cached.scan_sources_with_stats(&sources).0.len());
     });
     group.finish();
 }

@@ -10,8 +10,9 @@
 //!
 //! Four dimensions, each the median of repeated runs:
 //!
-//! * `serial` / `parallel` — batch engine programs/sec over the
-//!   generated workload corpus, cold in-memory cache every run;
+//! * `serial` / `parallel` — batch engine programs/sec over the pretty
+//!   texts of the generated workload corpus (parse + analyze), cold
+//!   in-memory cache every run;
 //! * `warm_memory` — same corpus, served from the in-memory
 //!   fingerprint cache;
 //! * `disk` — cold source scan (parse + analyze + store) vs warm
@@ -21,7 +22,7 @@
 //! * `fleet` — aggregate warm requests/sec over two sharded replicas
 //!   (`--shard 0/2` / `--shard 1/2`, indexed backend), each serving the
 //!   fingerprint slice it owns;
-//! * `interval` — analyzer throughput over the guarded corpus, the
+//! * `interval` — parse + analyze throughput over the guarded corpus, the
 //!   value-range-analysis stress shape (guards, clamp loops, derived
 //!   lengths);
 //! * `interprocedural` — summary-based vs inline analysis over the
@@ -150,7 +151,7 @@ fn main() {
     let serial = BatchEngine::new(Analyzer::new()).with_jobs(1);
     let serial_s = median_secs(runs, || {
         serial.clear_cache();
-        serial.scan_with_stats(&programs);
+        serial.scan_sources_with_stats(&sources);
     });
     // Measure parallel throughput at the machine's detected
     // parallelism, and record it so runs on different hosts compare.
@@ -159,12 +160,12 @@ fn main() {
     let parallel_jobs = parallel.jobs();
     let parallel_s = median_secs(runs, || {
         parallel.clear_cache();
-        parallel.scan_with_stats(&programs);
+        parallel.scan_sources_with_stats(&sources);
     });
     let warm_mem = BatchEngine::new(Analyzer::new());
-    warm_mem.scan_with_stats(&programs);
+    warm_mem.scan_sources_with_stats(&sources);
     let warm_mem_s = median_secs(runs, || {
-        warm_mem.scan_with_stats(&programs);
+        warm_mem.scan_sources_with_stats(&sources);
     });
 
     // Disk tier: cold populate vs warm rescan. The warm engine drops its
@@ -248,16 +249,18 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // Value-range analysis: analyzer throughput over the guarded
+    // Value-range analysis: parse + analyze throughput over the guarded
     // corpus, whose shapes (two-sided guards, clamp loops, derived
     // lengths) exercise the interval lattice — refinement, joins,
     // widening — harder than the mixed workload corpus does.
-    let guarded: Vec<_> =
-        workload::guarded_corpus(42, corpus_size).into_iter().map(|c| c.program).collect();
+    let guarded: Vec<String> = workload::guarded_corpus(42, corpus_size)
+        .iter()
+        .map(|c| pretty_program(&c.program))
+        .collect();
     let interval_engine = BatchEngine::new(Analyzer::new()).with_jobs(1);
     let interval_s = median_secs(runs, || {
         interval_engine.clear_cache();
-        interval_engine.scan_with_stats(&guarded);
+        interval_engine.scan_sources_with_stats(&guarded);
     });
 
     // Interprocedural: summary vs inline over the deep call graphs.

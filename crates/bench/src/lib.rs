@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use pnew_core::attacks::{self, run_all};
 use pnew_core::{AttackConfig, AttackKind, AttackReport, Defense};
 use pnew_corpus::{benign, listings, scenarios, workload};
-use pnew_detector::{Analyzer, BaselineChecker, BatchEngine, Fixer, Severity};
+use pnew_detector::{pretty_program, Analyzer, BaselineChecker, BatchEngine, Fixer, Severity};
 use pnew_object::LayoutPolicy;
 use pnew_runtime::StackProtection;
 
@@ -375,18 +375,23 @@ pub fn padding_leak_table() -> Table {
 
 /// All tables, in experiment order.
 /// E27: batch analysis throughput — serial vs parallel vs cached scans
-/// of a generated 500-program corpus through the detector's
-/// [`BatchEngine`].
+/// of a generated 500-program corpus, as pretty-printed source texts,
+/// through the detector's [`BatchEngine`] (parse + analyze per miss).
 pub fn batch_throughput_table() -> Table {
     let programs = workload::corpus(42, 500);
     let stmts: usize = programs.iter().map(pnew_detector::Program::stmt_count).sum();
+    let sources: Vec<String> = programs.iter().map(pretty_program).collect();
+    let scan = |engine: &BatchEngine| {
+        let (outcomes, stats) = engine.scan_sources_with_stats(&sources);
+        let reports: Vec<_> = outcomes.into_iter().map(|o| o.report).collect();
+        (reports, stats)
+    };
 
-    let serial_engine = BatchEngine::new(Analyzer::new()).with_jobs(1);
-    let (serial_reports, serial) = serial_engine.scan_with_stats(&programs);
+    let (serial_reports, serial) = scan(&BatchEngine::new(Analyzer::new()).with_jobs(1));
     let parallel_engine = BatchEngine::new(Analyzer::new());
-    let (parallel_reports, parallel) = parallel_engine.scan_with_stats(&programs);
+    let (parallel_reports, parallel) = scan(&parallel_engine);
     // Cached: rescan the parallel engine's warm cache.
-    let (cached_reports, cached) = parallel_engine.scan_with_stats(&programs);
+    let (cached_reports, cached) = scan(&parallel_engine);
     assert_eq!(serial_reports, parallel_reports, "worker count changed the findings");
     assert_eq!(serial_reports, cached_reports, "the cache changed the findings");
 

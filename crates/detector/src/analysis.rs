@@ -404,9 +404,10 @@ pub struct AnalyzerConfig {
     pub disabled: Vec<FindingKind>,
     /// Interprocedural strategy: `true` (the default) memoizes
     /// per-function transfer summaries and applies them at call sites;
-    /// `false` re-walks every callee inline at every call site
-    /// (`pncheck --no-summaries`). Both produce identical findings — the
-    /// escape hatch exists for differential testing and triage.
+    /// `false` re-walks every callee inline at every call site. Both
+    /// produce identical findings; the inline walk is the reference the
+    /// summary engine is tested against (`tests/summary_analysis.rs`).
+    /// No CLI flag selects it.
     pub use_summaries: bool,
 }
 

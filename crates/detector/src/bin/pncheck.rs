@@ -7,7 +7,9 @@
 //!   PATH may be a .pnx file or a directory, which is scanned
 //!   recursively for *.pnx files (in sorted path order). Inputs are
 //!   canonicalized and deduplicated, so a file named both directly and
-//!   via an enclosing directory is scanned once.
+//!   via an enclosing directory is scanned once. Any other argument
+//!   that starts with `-` is an option, so name a file called `-x` as
+//!   `./-x`.
 //!
 //!   --baseline              run the traditional-tools baseline instead
 //!   --fix                   print the automatically remediated program
@@ -49,10 +51,6 @@
 //!                           later runs go incremental. Requires
 //!                           --cache-dir; incompatible with --baseline,
 //!                           --oracle, --fix, and stdin input.
-//!   --no-summaries          analyze calls by inline re-walk instead of
-//!                           memoized function summaries (slower;
-//!                           results are identical — this flag exists
-//!                           for differential testing)
 //!   --stats                 print scan throughput, cache counters
 //!                           (both the in-memory and the on-disk tier),
 //!                           and per-pass trace lines — including
@@ -62,7 +60,9 @@
 //! ```
 //!
 //! Exit status: 0 when no warning-level findings, 1 when any program has
-//! them, 2 on usage errors or when any file failed to read or parse.
+//! them, 2 on usage errors (an unknown `-`-prefixed argument included:
+//! it is rejected before any file is read) or when any file failed to
+//! read or parse.
 //! Under `--oracle`, exit 1 means a false negative was found instead.
 //! A bad file does not abort the run: the parser recovers and reports
 //! *all* leading syntax errors with line and column, the remaining files
@@ -82,7 +82,7 @@ use pnew_detector::{
     PersistentCache, Program,
 };
 
-const USAGE: &str = "usage: pncheck [--baseline] [--fix] [--oracle] [--format text|json|sarif] [--min-severity LEVEL] [--disable KIND]... [--jobs N] [--cache-dir DIR] [--cache-backend dir|indexed] [--delta] [--no-summaries] [--stats] PATH... | -";
+const USAGE: &str = "usage: pncheck [--baseline] [--fix] [--oracle] [--format text|json|sarif] [--min-severity LEVEL] [--disable KIND]... [--jobs N] [--cache-dir DIR] [--cache-backend dir|indexed] [--delta] [--stats] PATH... | -";
 
 fn main() -> ExitCode {
     let mut baseline = false;
@@ -110,6 +110,10 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 return ExitCode::SUCCESS;
+            }
+            other if other.starts_with('-') && other != "-" => {
+                eprintln!("pncheck: unknown argument {other:?}\n{USAGE}");
+                return ExitCode::from(2);
             }
             _ => inputs.push(arg),
         }

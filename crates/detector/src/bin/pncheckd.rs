@@ -16,7 +16,6 @@
 //!                            (requests may override per-request)
 //!   --min-severity LEVEL     default reporting threshold
 //!   --disable KIND           disable one finding kind (repeatable)
-//!   --no-summaries           analyze without function summaries
 //!   --cache-dir DIR          persistent cache shared across restarts;
 //!                            an unusable DIR fails startup (exit 2)
 //!   --cache-backend KIND     persistent-tier layout: "dir" (one file
@@ -37,7 +36,7 @@
 //!   --idle-timeout-secs N    close TCP connections with nothing
 //!                            queued or in flight after N idle seconds
 //!                            (0 = never; default 300)
-//!   --watch ROOT             poll ROOT (repeatable) with the delta op
+//!   --watch ROOT             poll ROOT (repeatable) with delta scans
 //!                            instead of serving a socket: each cycle
 //!                            re-stats the tracked files, re-analyzes
 //!                            only the invalidation cone, and prints
@@ -58,11 +57,11 @@ use std::net::TcpListener;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use pnew_detector::cliopts::CommonOpts;
-use pnew_detector::emit::json_string;
-use pnew_detector::server::{parse_json, JsonNode, Server, ServerConfig};
+use pnew_detector::cliopts::{self, CommonOpts, ScanMode};
+use pnew_detector::emit::{self, OutputFormat};
+use pnew_detector::server::{Server, ServerConfig};
 
-const USAGE: &str = "usage: pncheckd [--listen ADDR:PORT] [--jobs N] [--min-severity LEVEL] [--disable KIND]... [--no-summaries] [--cache-dir DIR] [--cache-backend dir|indexed] [--shard K/N] [--max-request-bytes N] [--max-connections N] [--client-quota N] [--idle-timeout-secs N] [--watch ROOT]... [--watch-interval-ms N] [--watch-cycles N]";
+const USAGE: &str = "usage: pncheckd [--listen ADDR:PORT] [--jobs N] [--min-severity LEVEL] [--disable KIND]... [--cache-dir DIR] [--cache-backend dir|indexed] [--shard K/N] [--max-request-bytes N] [--max-connections N] [--client-quota N] [--idle-timeout-secs N] [--watch ROOT]... [--watch-interval-ms N] [--watch-cycles N]";
 
 fn main() -> ExitCode {
     let mut listen: Option<String> = None;
@@ -104,7 +103,7 @@ fn main() -> ExitCode {
                     eprintln!("pncheckd: --shard needs K/N");
                     return ExitCode::from(2);
                 };
-                match pnew_detector::cliopts::parse_shard(&spec) {
+                match cliopts::parse_shard(&spec) {
                     Ok(spec) => server_config.shard = Some(spec),
                     Err(e) => {
                         eprintln!("pncheckd: {e}");
@@ -165,7 +164,7 @@ fn main() -> ExitCode {
     }
     // The daemon's text/json/sarif default belongs to each request, not
     // the process; reject the flag rather than ignore it silently.
-    if opts.format != pnew_detector::emit::OutputFormat::default() {
+    if opts.format != OutputFormat::default() {
         eprintln!("pncheckd: --format is per-request; pass \"format\" in the analyze request");
         return ExitCode::from(2);
     }
@@ -189,7 +188,8 @@ fn main() -> ExitCode {
     };
 
     if !watch_roots.is_empty() {
-        return watch(&server, &watch_roots, watch_interval_ms, watch_cycles);
+        watch(&server, &watch_roots, watch_interval_ms, watch_cycles);
+        return ExitCode::SUCCESS;
     }
 
     let served = match listen {
@@ -221,82 +221,44 @@ fn main() -> ExitCode {
     }
 }
 
-/// Polls the registered roots through the `delta` op. Each cycle is the
-/// same request a remote client would send; the loop just feeds it to
-/// the in-process server and relays the reply. The envelope lands on
-/// stdout whenever anything changed (and on the first cycle, so a
-/// consumer always has a baseline); the per-cycle counters go to
-/// stderr.
-fn watch(server: &Server, roots: &[String], interval_ms: u64, cycles: u64) -> ExitCode {
-    let paths: Vec<String> = roots.iter().map(|r| json_string(r)).collect();
-    let request = format!("{{\"op\":\"delta\",\"paths\":[{}]}}", paths.join(","));
-    let mut cycle: u64 = 0;
-    loop {
-        cycle += 1;
-        let reply = server.handle_line(&request);
-        let header = match parse_json(&reply.header) {
-            Ok(JsonNode::Obj(fields)) => fields,
-            _ => {
-                eprintln!("pncheckd: watch: malformed reply header: {}", reply.header);
-                return ExitCode::from(2);
-            }
-        };
-        let get = |name: &str| header.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        if get("ok") != Some(&JsonNode::Bool(true)) {
-            let detail = match get("error") {
-                Some(JsonNode::Obj(err)) => err
-                    .iter()
-                    .find(|(k, _)| k == "message")
-                    .map(|(_, v)| match v {
-                        JsonNode::Str(text) => text.clone(),
-                        other => format!("{other:?}"),
-                    })
-                    .unwrap_or_default(),
-                _ => String::new(),
-            };
-            eprintln!("pncheckd: watch: request failed: {detail}");
-            return ExitCode::from(2);
+/// Polls the registered roots with delta scans on the server's base
+/// engine: the scan a `delta` request runs, without the protocol round
+/// trip. The envelope lands on stdout whenever anything changed (and on
+/// the first cycle, so a consumer always has a baseline); the per-cycle
+/// counters and unreadable inputs go to stderr.
+fn watch(server: &Server, roots: &[String], interval_ms: u64, cycles: u64) {
+    let engine = server.base_engine();
+    for cycle in 1u64.. {
+        let scan = cliopts::scan(&engine, roots, ScanMode::Delta { changed: None }, engine.jobs());
+        for line in scan.expand_errors {
+            eprintln!("pncheckd: watch: {line}");
         }
-        let counter = |name: &str| match get("delta") {
-            Some(JsonNode::Obj(delta)) => delta
-                .iter()
-                .find(|(k, _)| k == name)
-                .and_then(|(_, v)| match v {
-                    JsonNode::Int(n) if *n >= 0 => Some(*n as u64),
-                    _ => None,
-                })
-                .unwrap_or(0),
-            _ => 0,
-        };
-        if let Some(JsonNode::Arr(errs)) = get("file_errors") {
-            for err in errs {
-                match err {
-                    JsonNode::Str(text) => eprintln!("pncheckd: watch: {text}"),
-                    other => eprintln!("pncheckd: watch: {other:?}"),
-                }
+        let mut records = Vec::with_capacity(scan.files.len());
+        for file in scan.files {
+            match file.record {
+                Ok(record) => records.push(record),
+                Err(line) => eprintln!("pncheckd: watch: {line}"),
             }
         }
-        let (tracked, changed, added, removed) =
-            (counter("tracked"), counter("changed"), counter("added"), counter("removed"));
-        let dirty = changed + added + removed > 0;
+        let d = scan.delta.expect("a delta scan counts its invalidation");
         eprintln!(
-            "pncheckd: watch cycle {cycle}: {tracked} tracked, {changed} changed, \
-             {added} added, {removed} removed, cone {}/{} functions, \
-             {} reanalyzed, {} reused",
-            counter("cone_functions"),
-            counter("tracked_functions"),
-            counter("functions_reanalyzed"),
-            counter("functions_reused"),
+            "pncheckd: watch cycle {cycle}: {} tracked, {} changed, {} added, {} removed, \
+             cone {}/{} functions, {} reanalyzed, {} reused",
+            d.tracked_files,
+            d.changed_files,
+            d.added_files,
+            d.removed_files,
+            d.cone_functions,
+            d.tracked_functions,
+            d.functions_reanalyzed,
+            d.functions_reused,
         );
-        if cycle == 1 || dirty {
-            print!("{}", reply.payload);
-            if !reply.payload.ends_with('\n') {
-                println!();
-            }
+        if cycle == 1 || d.changed_files + d.added_files + d.removed_files > 0 {
+            print!("{}", emit::render_records(OutputFormat::Json, &records, None, None, |_, _| {}));
             let _ = io::Write::flush(&mut io::stdout());
         }
-        if cycles > 0 && cycle >= cycles {
-            return ExitCode::SUCCESS;
+        if cycle == cycles {
+            return;
         }
         // Pacing goes through the server's clock, not a raw sleep, so a
         // simulated watch loop runs on virtual time.

@@ -12,7 +12,7 @@
 //! * an 8-byte magic plus a schema version — entries written by an
 //!   incompatible binary are treated as misses, not errors;
 //! * an analyzer-config tag — a cache populated under different
-//!   `--min-severity`/`--disable`/`--no-summaries` flags (or a detector
+//!   `--min-severity`/`--disable` flags or summary mode (or a detector
 //!   with a different rule set) never serves stale verdicts;
 //! * a checksum over the payload plus strict bounds-checked decoding —
 //!   torn writes and bit rot surface as [`CacheLookup::Corrupt`], which
@@ -38,7 +38,8 @@ use std::path::Path;
 use crate::analysis::AnalyzerConfig;
 use crate::backend::{BackendKind, CacheBackend};
 use crate::findings::{Finding, FindingKind, Report, Severity};
-use crate::ir::{Site, Span};
+use crate::ir::{Program, Site, Span};
+use crate::pretty::pretty;
 use crate::summary::{FunctionSummaryRecord, StoredSummary};
 
 const MAGIC: &[u8; 8] = b"PNXCACHE";
@@ -95,6 +96,21 @@ pub fn source_fingerprint(source: &str) -> u128 {
     fnv128(source.as_bytes())
 }
 
+/// Content fingerprint of a program: the [`source_fingerprint`] of its
+/// canonical pretty form. The pretty form drops spans, so this names a
+/// program up to layout — two texts that differ only in layout agree
+/// here, while their cache keys (their own source fingerprints) differ.
+///
+/// The pretty form sorts classes, includes the program name, and
+/// round-trips through the parser (`parse(pretty(p)) == p`), so the
+/// fingerprint is injective up to program equality, and structurally
+/// equal programs always agree even when their internal `HashMap`
+/// iteration orders differ. It is 128 bits wide because a 64-bit hash
+/// has a real birthday-collision risk at corpus scale.
+pub fn fingerprint(program: &Program) -> u128 {
+    source_fingerprint(&pretty(program))
+}
+
 /// Everything one cache entry stores about one analyzed file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedAnalysis {
@@ -106,7 +122,8 @@ pub struct CachedAnalysis {
     /// entry-summary findings (pre-severity-filter), deduplicated by
     /// full content. `summaries[i].finding_ids` index into it — the
     /// substrate a partial re-analysis hydrates unchanged functions'
-    /// findings from. Empty for inline-mode (`--no-summaries`) entries.
+    /// findings from. Empty for entries of the inline walk
+    /// (`AnalyzerConfig::use_summaries` off).
     pub finding_pool: Vec<Finding>,
 }
 
@@ -873,5 +890,18 @@ mod tests {
         assert_ne!(fp >> 64, 0);
         assert_ne!(fp & u128::from(u64::MAX), 0);
         assert_ne!(fp, source_fingerprint("program p; fn main() {} "));
+    }
+
+    #[test]
+    fn fingerprint_names_a_program_up_to_layout() {
+        let parse = |s: &str| crate::parse::parse_program(s).unwrap();
+        let p = parse("program p;\nfn main() {}\n");
+        let fp = fingerprint(&p);
+        assert_eq!(fp, fingerprint(&parse("\n\nprogram p;\n\n  fn main() {\n}\n")));
+        assert_ne!(fp, fingerprint(&parse("program q;\nfn main() {}\n")), "name");
+        let with_class = parse("program p;\nclass C size 8;\nfn main() {}\n");
+        assert_ne!(fp, fingerprint(&with_class), "content");
+        assert_ne!(fp >> 64, 0, "high half of the key is unused");
+        assert_ne!(fp & u128::from(u64::MAX), 0, "low half of the key is unused");
     }
 }

@@ -75,8 +75,7 @@ pub struct CommonOpts {
     pub jobs: Option<usize>,
     /// Output format selection.
     pub format: OutputFormat,
-    /// Analyzer configuration (`--min-severity`, `--disable`,
-    /// `--no-summaries`).
+    /// Analyzer configuration (`--min-severity`, `--disable`).
     pub config: AnalyzerConfig,
     /// `--cache-dir DIR`: the persistent cache, if any.
     pub cache_dir: Option<PathBuf>,
@@ -115,10 +114,6 @@ impl CommonOpts {
                 Some(v) => parse_format(&v).map(|f| self.format = f),
                 None => Err("--format needs a value (text|json|sarif)".to_owned()),
             }),
-            "--no-summaries" => {
-                self.config.use_summaries = false;
-                Some(Ok(()))
-            }
             "--cache-dir" => Some(match rest.next() {
                 Some(v) => {
                     self.cache_dir = Some(PathBuf::from(v));
@@ -339,13 +334,12 @@ mod tests {
         let mut rest = ["2", "error", "/tmp/c", "indexed"].map(str::to_owned).into_iter();
         assert_eq!(opts.accept("--jobs", &mut rest), Some(Ok(())));
         assert_eq!(opts.accept("--min-severity", &mut rest), Some(Ok(())));
-        assert_eq!(opts.accept("--no-summaries", &mut rest), Some(Ok(())));
         assert_eq!(opts.accept("--cache-dir", &mut rest), Some(Ok(())));
         assert_eq!(opts.accept("--cache-backend", &mut rest), Some(Ok(())));
         assert_eq!(opts.accept("--baseline", &mut rest), None);
+        assert_eq!(opts.accept("--no-summaries", &mut rest), None);
         assert_eq!(opts.jobs, Some(2));
         assert_eq!(opts.config.min_severity, Severity::Error);
-        assert!(!opts.config.use_summaries);
         assert_eq!(opts.cache_dir, Some(PathBuf::from("/tmp/c")));
         assert_eq!(opts.cache_backend, BackendKind::Indexed);
     }

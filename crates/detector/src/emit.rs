@@ -797,13 +797,12 @@ mod tests {
         use crate::trace::TraceCollector;
         use crate::{Analyzer, BatchEngine};
         use std::sync::Arc;
-        let program = parse_program(VULNERABLE).unwrap();
         let trace = Arc::new(TraceCollector::new());
         let engine = BatchEngine::new(Analyzer::new()).with_jobs(1).with_trace(Arc::clone(&trace));
-        let (reports, stats) = engine.scan_with_stats(std::slice::from_ref(&program));
+        let (outcomes, stats) = engine.scan_sources_with_stats(&[VULNERABLE]);
         let record = FileRecord {
             path: "demo.pnx".into(),
-            report: Some(reports[0].clone()),
+            report: outcomes[0].report.clone(),
             errors: Vec::new(),
         };
         let json = render_json(&[record], Some(&stats), Some(&trace.snapshot()));

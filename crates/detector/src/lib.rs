@@ -72,11 +72,11 @@ pub use analysis::{Analyzer, AnalyzerConfig, PartialAnalysis};
 pub use backend::{BackendKind, CacheBackend, DirBackend, IndexedBackend};
 pub use baseline::BaselineChecker;
 pub use batch::{
-    fingerprint, BatchEngine, BatchStats, CacheStats, DeltaStats, ShardSpec, SourceOutcome, Tally,
+    BatchEngine, BatchStats, CacheStats, DeltaStats, ShardSpec, SourceOutcome, Tally,
     TrackedOutcome,
 };
 pub use builder::{FunctionBuilder, ProgramBuilder};
-pub use cache::{source_fingerprint, CacheLookup, CachedAnalysis, PersistentCache};
+pub use cache::{fingerprint, source_fingerprint, CacheLookup, CachedAnalysis, PersistentCache};
 pub use clock::{Clock, SimClock, SystemClock};
 pub use delta::{invalidation_cone, ConeStats};
 pub use exec::{ExecEvent, ExecEventKind, ExecOutcome, Executor};

@@ -760,6 +760,12 @@ impl Server {
         &self.config.clock
     }
 
+    /// The engine for the base configuration, which `pncheckd --watch`
+    /// rescans. [`Server::new`] built it, so this cannot fail.
+    pub fn base_engine(&self) -> Arc<BatchEngine> {
+        self.engine_for(&self.config.base).expect("Server::new built the base engine")
+    }
+
     /// The engine for `config`, building (and caching) it on first use.
     fn engine_for(&self, config: &AnalyzerConfig) -> io::Result<Arc<BatchEngine>> {
         let tag = config_tag(config);
@@ -1026,7 +1032,6 @@ impl Server {
                     ("fingerprint_hits", sum(|c| c.counts.hits)),
                     ("fingerprint_misses", sum(|c| c.counts.misses)),
                     ("fingerprint_lookups", sum(|c| c.lookups)),
-                    ("program_cache_entries", sum(|c| c.entries as u64)),
                     ("source_cache_entries", sum(|c| c.source_entries as u64)),
                     ("persistent_hits", sum(|c| c.counts.disk_hits)),
                     ("persistent_misses", sum(|c| c.counts.disk_misses)),

@@ -4,6 +4,8 @@ use std::io::Write as _;
 use std::process::{Command, Stdio};
 
 const PNCHECK: &str = env!("CARGO_BIN_EXE_pncheck");
+const PNCHECKD: &str = env!("CARGO_BIN_EXE_pncheckd");
+const EXAMPLES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/pnx");
 
 const VULNERABLE: &str = "\
 program cli-demo;
@@ -181,6 +183,49 @@ fn bad_flag_values_exit_two() {
     let (_, stderr, code) = run_with_stdin(&["--jobs", "zero?", "-"], CLEAN);
     assert_eq!(code, 2);
     assert!(stderr.contains("--jobs"), "{stderr}");
+}
+
+/// Runs `bin` with `args`: stdout, stderr and the exit code.
+fn run(bin: &str, args: &[&str]) -> (String, String, i32) {
+    let out = Command::new(bin).args(args).output().expect("binary runs");
+    (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        out.status.code().unwrap_or(-1),
+    )
+}
+
+#[test]
+fn unknown_flags_are_rejected_before_any_file_is_read() {
+    for flag in ["--bogus", "--no-summaries"] {
+        let (stdout, stderr, code) = run(PNCHECK, &[flag, EXAMPLES]);
+        assert_eq!(code, 2, "{flag}: {stderr}");
+        assert!(stdout.is_empty(), "{flag} scanned anyway: {stdout}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert_eq!(first, format!("pncheck: unknown argument {flag:?}"), "{stderr}");
+        assert!(stderr.contains("usage: pncheck"), "{stderr}");
+    }
+    let (stdout, stderr, code) = run(PNCHECKD, &["--no-summaries"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.starts_with("pncheckd: unknown argument \"--no-summaries\""), "{stderr}");
+}
+
+#[test]
+fn watch_prints_the_scan_envelope_once_and_counts_each_cycle() {
+    let args = ["--watch", EXAMPLES, "--watch-cycles", "2", "--watch-interval-ms", "0"];
+    let (stdout, stderr, code) = run(PNCHECKD, &args);
+    assert_eq!(code, 0, "{stderr}");
+    // Nothing changes between the cycles, so only the first prints.
+    let (envelope, _, _) = run(PNCHECK, &["--format", "json", EXAMPLES]);
+    assert_eq!(stdout, envelope);
+    assert_eq!(
+        stderr,
+        "pncheckd: watch cycle 1: 7 tracked, 0 changed, 7 added, 0 removed, \
+         cone 8/8 functions, 8 reanalyzed, 0 reused\n\
+         pncheckd: watch cycle 2: 7 tracked, 0 changed, 0 added, 0 removed, \
+         cone 0/8 functions, 0 reanalyzed, 0 reused\n"
+    );
 }
 
 /// A scratch directory under the system temp dir, removed on drop.

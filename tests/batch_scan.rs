@@ -2,16 +2,25 @@
 //! exercised over a generated corpus at realistic scale.
 
 use placement_new_attacks::corpus::workload;
-use placement_new_attacks::detector::{Analyzer, BatchEngine};
+use placement_new_attacks::detector::{
+    pretty_program, Analyzer, BatchEngine, BatchStats, Program, Report,
+};
+
+/// Scans the pretty texts of `programs`: the reports, in input order,
+/// and the scan's stats.
+fn scan(engine: &BatchEngine, programs: &[Program]) -> (Vec<Report>, BatchStats) {
+    let sources: Vec<String> = programs.iter().map(pretty_program).collect();
+    let (outcomes, stats) = engine.scan_sources_with_stats(&sources);
+    let reports = outcomes.into_iter().map(|o| o.report.expect("a pretty text parses")).collect();
+    (reports, stats)
+}
 
 #[test]
 fn findings_are_identical_and_ordered_regardless_of_jobs() {
     let programs = workload::corpus(7, 200);
 
-    let serial_engine = BatchEngine::new(Analyzer::new()).with_jobs(1);
-    let parallel_engine = BatchEngine::new(Analyzer::new()).with_jobs(8);
-    let serial = serial_engine.scan_with_stats(&programs).0;
-    let parallel = parallel_engine.scan_with_stats(&programs).0;
+    let serial = scan(&BatchEngine::new(Analyzer::new()).with_jobs(1), &programs).0;
+    let parallel = scan(&BatchEngine::new(Analyzer::new()).with_jobs(8), &programs).0;
 
     // Reports come back in input order…
     assert_eq!(serial.len(), programs.len());
@@ -32,13 +41,13 @@ fn rescanning_an_unchanged_corpus_exceeds_90_percent_hit_rate() {
     let programs = workload::corpus(21, 200);
     let engine = BatchEngine::new(Analyzer::new()).with_jobs(4);
 
-    let (first_reports, first) = engine.scan_with_stats(&programs);
+    let (first_reports, first) = scan(&engine, &programs);
     assert_eq!(first.cache_hits, 0);
 
     // Regenerate the corpus rather than reusing the same values: the
     // fingerprint must be content-derived, not identity-derived.
     let regenerated = workload::corpus(21, 200);
-    let (second_reports, second) = engine.scan_with_stats(&regenerated);
+    let (second_reports, second) = scan(&engine, &regenerated);
     assert!(
         second.cache_hit_rate() > 0.9,
         "hit rate {:.2} (hits {}, misses {})",

@@ -16,7 +16,9 @@
 use placement_new_attacks::corpus::workload::{self, GUARDED_SHAPES};
 use placement_new_attacks::detector::emit::{render_json, render_sarif, FileRecord};
 use placement_new_attacks::detector::oracle::{Matrix, Oracle};
-use placement_new_attacks::detector::{Analyzer, AnalyzerConfig, BatchEngine, Severity};
+use placement_new_attacks::detector::{
+    pretty_program, Analyzer, AnalyzerConfig, BatchEngine, Severity,
+};
 
 const SEED: u64 = 7;
 const COUNT: usize = 70; // ten full cycles of the seven shapes
@@ -69,18 +71,19 @@ fn every_runtime_safe_non_clobber_shape_is_fully_suppressed() {
 
 #[test]
 fn guarded_scan_is_byte_deterministic_across_jobs_and_summary_modes() {
-    let programs: Vec<_> =
-        workload::guarded_corpus(SEED, COUNT).into_iter().map(|c| c.program).collect();
+    let sources: Vec<String> =
+        workload::guarded_corpus(SEED, COUNT).iter().map(|c| pretty_program(&c.program)).collect();
     let render = |jobs: usize, use_summaries: bool| {
         let analyzer =
             Analyzer::with_config(AnalyzerConfig { use_summaries, ..Default::default() });
-        let reports = BatchEngine::new(analyzer).with_jobs(jobs).scan_with_stats(&programs).0;
-        let records: Vec<FileRecord> = reports
+        let outcomes =
+            BatchEngine::new(analyzer).with_jobs(jobs).scan_sources_with_stats(&sources).0;
+        let records: Vec<FileRecord> = outcomes
             .into_iter()
             .enumerate()
-            .map(|(i, report)| FileRecord {
+            .map(|(i, outcome)| FileRecord {
                 path: format!("guarded:{i}"),
-                report: Some(report),
+                report: Some(outcome.report.expect("a pretty text parses")),
                 errors: Vec::new(),
             })
             .collect();
